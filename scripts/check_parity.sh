@@ -23,9 +23,10 @@
 #     bit-identical rows AND simulated times; join strategies —
 #     hash/merge/indexnlj/nlj — bit-identical rows and times, with the
 #     merge-join and adaptive-feedback benchmark gates),
-#  7. columnar parity (row vs batch vs columnar => bit-identical rows
-#     AND simulated times; zone-map pruning on/off => same rows;
-#     COW-rebuild, all-NULL and pinned-snapshot edge cases),
+#  7. chunk/zone-map parity (row vs batch over column chunks =>
+#     bit-identical rows AND simulated times; zone-map pruning on/off
+#     => same rows; COW-rebuild, all-NULL and pinned-snapshot edge
+#     cases; exact chunk counters in both modes),
 #  8. calibration regression (the frozen Fig. 5/6 anchor numbers).
 #
 # Usage: scripts/check_parity.sh
@@ -148,7 +149,7 @@ print(f"OK: merge join {merge['speedup_wall']}x wall over hash; "
       f"(q-error {adaptive['observed_q_error']})")
 EOF
 
-echo "== columnar parity (row vs batch vs columnar, zone maps on/off) =="
+echo "== chunk/zone-map parity (row vs batch, zone maps on/off) =="
 python -m pytest -q tests/test_columnar_parity.py
 
 echo "== calibration regression =="

@@ -382,7 +382,7 @@ def build_scenario(
     :meth:`~repro.core.server.IntegrationServer.configure_faults`;
     ``optimizer`` selects the FDBS planning mode (``"syntactic"`` or
     ``"cost"``); ``chunk_size`` overrides the FDBS rows-per-chunk knob
-    for batch/columnar execution; ``heterogeneous`` additionally
+    (zone-map granularity and batch size); ``heterogeneous`` additionally
     federates the three heterogeneous source profiles (see
     :func:`attach_heterogeneous_sources`)."""
     server = IntegrationServer(

@@ -62,8 +62,8 @@ class IntegrationServer:
         result cache (both off by default: the paper's measured
         configuration).  ``optimizer`` selects the FDBS planning mode
         (``"syntactic"`` or the RUNSTATS-fed ``"cost"``); ``chunk_size``
-        overrides the FDBS rows-per-chunk knob for batch/columnar
-        execution."""
+        overrides the FDBS rows-per-chunk knob (zone-map granularity and
+        batch size)."""
         self.architecture = architecture
         self.machine = Machine(
             costs=costs, controller_enabled=controller_enabled, jitter=jitter

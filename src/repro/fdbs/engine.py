@@ -79,6 +79,16 @@ if TYPE_CHECKING:  # pragma: no cover
 _MAX_FUNCTION_DEPTH = 32
 
 
+def check_execution_mode(mode: str) -> str:
+    """Return ``mode`` unchanged, or raise unless it is ``"row"`` or
+    ``"batch"`` (the two executor protocols a SELECT can run through)."""
+    if mode not in ("row", "batch"):
+        raise ExecutionError(
+            f"unknown execution mode {mode!r}; expected 'row' or 'batch'"
+        )
+    return mode
+
+
 class _EngineLocal(threading.local):
     """Per-thread execution state of one database."""
 
@@ -166,18 +176,18 @@ class Database:
                 machine.configure_runtime(
                     pooling=pooling, result_cache=result_cache
                 )
-        #: "row" (Volcano), "batch" (vectorized chunks + hash joins) or
-        #: "columnar" (storage column chunks + zone-map pruning).
+        #: "row" (Volcano) or "batch" (vectorized chunks + hash joins).
         self.execution_mode = "row"
         self.set_execution_mode(execution_mode)
-        #: Rows per storage chunk / execution batch (columnar + batch).
+        #: Rows per storage chunk (zone-map granularity, every mode) and
+        #: per execution batch (batch mode).
         self.chunk_size = DEFAULT_CHUNK_SIZE
         if chunk_size is not None:
             self.set_chunk_size(chunk_size)
         #: Zone-map pruning toggle (False for the pruning ablation).
         self.zone_maps_enabled = True
-        self._columnar_lock = threading.Lock()
-        self._columnar = {"chunks_scanned": 0, "chunks_pruned": 0}
+        self._chunk_lock = threading.Lock()
+        self._chunk_counters = {"chunks_scanned": 0, "chunks_pruned": 0}
         #: "syntactic" (FROM order as written — the default, and exactly
         #: the pre-optimizer behaviour) or "cost" (RUNSTATS-fed join
         #: reordering and bind joins; see repro.fdbs.optimizer).
@@ -286,25 +296,20 @@ class Database:
     # ------------------------------------------------------------------
 
     def set_execution_mode(self, mode: str) -> None:
-        """Switch between ``"row"``, ``"batch"`` and ``"columnar"``.
+        """Switch between ``"row"`` and ``"batch"``.
 
         Cached statement plans are mode-specific, so the statement cache
         is keyed per mode (see :meth:`_parse_cached`); switching modes
         never invalidates the other mode's entries.
         """
-        if mode not in ("row", "batch", "columnar"):
-            raise ExecutionError(
-                f"unknown execution mode {mode!r}; expected 'row', 'batch' "
-                "or 'columnar'"
-            )
-        self.execution_mode = mode
+        self.execution_mode = check_execution_mode(mode)
 
     def set_chunk_size(self, size: int) -> None:
-        """Set the rows-per-chunk knob for batch/columnar execution.
+        """Set the rows-per-chunk knob for zone maps and batch execution.
 
         Applies to new scans immediately: storage zone maps are keyed by
         the chunk size that sealed them, so a change triggers a lazy
-        rebuild on the next columnar scan of each table.
+        rebuild on the next zone-map-checked scan of each table.
         """
         if isinstance(size, bool) or not isinstance(size, int):
             raise ExecutionError("chunk size must be an integer")
@@ -318,23 +323,30 @@ class Database:
                 table_def.storage.chunk_size = size
 
     def set_zone_maps(self, enabled: bool) -> None:
-        """Enable/disable zone-map chunk pruning (columnar mode only).
+        """Enable/disable zone-map chunk pruning (every execution mode).
 
         Pruning is a pure superset skip, so toggling it never changes
-        query results — only ``chunks_pruned`` and wall-clock time.
+        query results — only ``chunks_scanned``/``chunks_pruned`` and
+        wall-clock time.  With pruning off, scans read the table heap
+        directly and count no chunks.
         """
         self.zone_maps_enabled = bool(enabled)
 
     def _note_chunks(self, scanned: int, pruned: int) -> None:
-        """Accumulate per-scan chunk counters (wired into columnar scans)."""
-        with self._columnar_lock:
-            self._columnar["chunks_scanned"] += scanned
-            self._columnar["chunks_pruned"] += pruned
+        """Accumulate per-scan chunk counters (wired into every table
+        scan; zone-map-checked scans report)."""
+        with self._chunk_lock:
+            self._chunk_counters["chunks_scanned"] += scanned
+            self._chunk_counters["chunks_pruned"] += pruned
 
     def columnar_stats(self) -> dict[str, int]:
-        """Columnar-execution counters for SYSCAT_RUNTIME_STATS."""
-        with self._columnar_lock:
-            counters = dict(self._columnar)
+        """Chunk and zone-map counters for SYSCAT_RUNTIME_STATS.
+
+        The name refers to the column-chunk storage; the scan counters
+        cover zone-map-checked scans in every execution mode.
+        """
+        with self._chunk_lock:
+            counters = dict(self._chunk_counters)
         rebuilds = 0
         sealed = 0
         for table_def in self.catalog.tables():
@@ -741,10 +753,13 @@ class Database:
                 )
             if self.optimizer == "cost":
                 self._ingest_feedback(plan)
+        # ANALYZE executes the row pipeline whatever the session mode,
+        # so its header names the pipeline that actually ran.
+        mode = "row" if statement.analyze else self.execution_mode
         lines = (
             self._runtime_header()
             + [f"Snapshot(epoch={snapshot.epoch})"]
-            + plan.explain(mode=self.execution_mode).splitlines()
+            + plan.explain(mode=mode).splitlines()
         )
         return Result(
             columns=["PLAN"],
@@ -880,7 +895,7 @@ class Database:
             statistics=self.catalog.planning_statistics,
             batch_invoker=self._invoke_table_function_batch,
             enable_zone_maps=self.zone_maps_enabled,
-            columnar_note=self._note_chunks,
+            chunk_note=self._note_chunks,
             join_strategy=self.join_strategy,
             adaptive_factor=self.adaptive_blowup_factor,
             join_counter=self._note_join,
@@ -966,13 +981,7 @@ class Database:
     ) -> Result:
         plan = self._planner().plan_select(statement)
         ctx = EvalContext(params=params, trace=trace, snapshot=snapshot)
-        if self.execution_mode == "columnar":
-            rows = [
-                row
-                for batch in plan.column_batches(ctx, self.chunk_size)
-                for row in batch.rows_view()
-            ]
-        elif self.execution_mode == "batch":
+        if self.execution_mode == "batch":
             rows = [
                 row for chunk in plan.batches(ctx, self.chunk_size) for row in chunk
             ]

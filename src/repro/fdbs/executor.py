@@ -38,102 +38,6 @@ from repro.fdbs.storage import Table
 BATCH_SIZE = 1024
 
 
-class ColumnBatch:
-    """One chunk of rows in the columnar execution mode.
-
-    Holds either a row-major tuple list or a column-major list of value
-    columns; the other representation is derived lazily and cached.
-    Together with the storage :class:`~repro.fdbs.storage.ColumnChunk`
-    and :class:`SelectionBatch` this forms the *column batch* protocol
-    consumed by ``column_batches``: ``len``, iteration over row tuples,
-    ``column(position)`` and ``rows_view()``.
-    """
-
-    __slots__ = ("count", "_rows", "_cols", "_cache")
-
-    def __init__(
-        self,
-        count: int,
-        rows: list[tuple] | None = None,
-        cols: list[list] | None = None,
-    ):
-        self.count = count
-        self._rows = rows
-        self._cols = cols
-        self._cache: dict[int, list] | None = None
-
-    def column(self, position: int) -> list:
-        """Values of one column across the batch (cached)."""
-        if self._cols is not None:
-            return self._cols[position]
-        cache = self._cache
-        if cache is None:
-            cache = self._cache = {}
-        column = cache.get(position)
-        if column is None:
-            column = [row[position] for row in self._rows]  # type: ignore[union-attr]
-            cache[position] = column
-        return column
-
-    def rows_view(self) -> list[tuple]:
-        """The batch's rows as tuples (materialised once for a
-        column-major batch)."""
-        rows = self._rows
-        if rows is None:
-            cols = self._cols
-            rows = list(zip(*cols)) if cols else [()] * self.count
-            self._rows = rows
-        return rows
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        return iter(self.rows_view())
-
-
-class SelectionBatch:
-    """A filtered view over a parent column batch.
-
-    Stores only the surviving row indices; columns are gathered lazily
-    per column actually read downstream, so a selective filter followed
-    by a narrow projection touches no other columns at all.
-    """
-
-    __slots__ = ("parent", "indices", "count", "_columns", "_rows")
-
-    def __init__(self, parent, indices: list[int]):
-        self.parent = parent
-        self.indices = indices
-        self.count = len(indices)
-        self._columns: dict[int, list] = {}
-        self._rows: list[tuple] | None = None
-
-    def column(self, position: int) -> list:
-        """The selected values of one parent column (cached)."""
-        column = self._columns.get(position)
-        if column is None:
-            source = self.parent.column(position)
-            column = [source[index] for index in self.indices]
-            self._columns[position] = column
-        return column
-
-    def rows_view(self) -> list[tuple]:
-        """The selected rows as tuples (cached)."""
-        rows = self._rows
-        if rows is None:
-            source = self.parent.rows_view()
-            rows = [source[index] for index in self.indices]
-            self._rows = rows
-        return rows
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        return iter(self.rows_view())
-
-
 class FunctionInvoker(Protocol):
     """Invokes a catalog table function with evaluated argument values."""
 
@@ -170,18 +74,6 @@ class Plan:
                 append = chunk.append
         if chunk:
             yield chunk
-
-    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Yield column batches (default: wrapped row chunks).
-
-        The columnar execution mode runs the same operator tree through
-        this protocol; operators without a columnar form fall back to
-        their ``batches`` output wrapped in :class:`ColumnBatch`, so any
-        plan is columnar-capable and produces the exact rows of batch
-        mode.
-        """
-        for chunk in self.batches(ctx, size):
-            yield ColumnBatch(len(chunk), rows=chunk)
 
     def explain(self, indent: int = 0, mode: str | None = None) -> str:
         """Human-readable plan tree (EXPLAIN-style).
@@ -245,14 +137,14 @@ class TableScanPlan(Plan):
         self.schema = schema
         self._name = name
         self.index_probe: tuple[str, CompiledExpr] | None = None
-        #: Zone-map prune checks attached by the planner in columnar
-        #: mode: ``(column position, check, conjunct text)`` where
+        #: Zone-map prune checks attached by the planner (every
+        #: execution mode): ``(column position, check, conjunct text)`` where
         #: ``check(lo, hi, nulls, count)`` returns False only when no
         #: row of a chunk with that zone entry can satisfy the conjunct.
         self.prune_checks: list[tuple[int, Callable, str]] = []
         #: Callback ``(chunks_scanned, chunks_pruned)`` feeding the
-        #: database's columnar runtime counters (attached by the planner).
-        self.columnar_note: Callable[[int, int], None] | None = None
+        #: database's chunk runtime counters (attached by the planner).
+        self.chunk_note: Callable[[int, int], None] | None = None
         #: Chunk pruning outcome of the most recent execution (shown by
         #: EXPLAIN ANALYZE as ``pruned=N/M chunks``).
         self.last_chunks_total: int | None = None
@@ -313,8 +205,8 @@ class TableScanPlan(Plan):
             # close), so the database counters see each chunk once.
             self.last_chunks_total = scanned + pruned
             self.last_chunks_pruned = pruned
-            if self.columnar_note is not None:
-                self.columnar_note(scanned, pruned)
+            if self.chunk_note is not None:
+                self.chunk_note(scanned, pruned)
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
@@ -350,13 +242,6 @@ class TableScanPlan(Plan):
             data = version.rows()
         for start in range(0, len(data), size):
             yield data[start : start + size]
-
-    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Yield the storage's column chunks directly (zone-map pruned)."""
-        if self.index_probe is not None:
-            yield from super().column_batches(ctx, size)
-            return
-        yield from self._chunks(ctx)
 
     def _describe(self) -> str:
         if self.index_probe is not None:
@@ -451,14 +336,6 @@ class CrossApplyPlan(Plan):
             yield from self.right.plan.batches(ctx, size)
             return
         yield from super().batches(ctx, size)
-
-    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Forward the degenerate first fold step columnar; lateral
-        folds keep row-at-a-time semantics (wrapped chunks)."""
-        if isinstance(self.left, UnitPlan) and isinstance(self.right, StaticRightSide):
-            yield from self.right.plan.column_batches(ctx, size)
-            return
-        yield from super().column_batches(ctx, size)
 
     def _describe(self) -> str:
         return "CrossApply"
@@ -645,8 +522,6 @@ class HashJoinPlan(Plan):
         #: Chunk-at-a-time closures for the left key columns (attached by
         #: the planner in batch mode; evaluated against left rows only).
         self.batch_left_keys: list[BatchFn] | None = None
-        #: Column-batch closures for the left key columns (columnar mode).
-        self.columnar_left_keys: list[BatchFn] | None = None
 
     def _build(self, ctx: EvalContext) -> dict[tuple, list[tuple]]:
         """Materialise the right side into key buckets (NULLs never match)."""
@@ -723,32 +598,6 @@ class HashJoinPlan(Plan):
                     )
             if out:
                 yield out
-
-    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Probe with left column batches; key columns are read straight
-        from the batch, row tuples materialise only for emitted matches."""
-        table = self._build(ctx)
-        null_right = (None,) * len(self.right.schema)
-        columnar_keys = self.columnar_left_keys
-        for batch in self.left.column_batches(ctx, size):
-            out: list[tuple] = []
-            left_rows = batch.rows_view()
-            if columnar_keys is not None:
-                columns = [fn(batch, ctx) for fn in columnar_keys]
-                for index, left_row in enumerate(left_rows):
-                    values = [column[index] for column in columns]
-                    if any(value is None for value in values):
-                        key = None
-                    else:
-                        key = tuple(_join_key_part(value) for value in values)
-                    self._probe(left_row, key, table, null_right, ctx, out)
-            else:
-                for left_row in left_rows:
-                    self._probe(
-                        left_row, self._left_key(left_row, ctx), table, null_right, ctx, out
-                    )
-            if out:
-                yield ColumnBatch(len(out), rows=out)
 
     def _describe(self) -> str:
         keys = ", ".join(self.key_names) if self.key_names else f"{len(self.left_keys)} key(s)"
@@ -1308,8 +1157,6 @@ class FilterPlan(Plan):
         self._label = label
         #: Chunk-at-a-time predicate (attached by the planner in batch mode).
         self.batch_predicate: BatchFn | None = None
-        #: Column-batch predicate (attached by the planner in columnar mode).
-        self.columnar_predicate: BatchFn | None = None
         #: Rendered texts of the conjuncts this filter evaluates locally
         #: after predicate pushdown split some off (attached by the
         #: planner so EXPLAIN shows the residual set explicitly).
@@ -1337,24 +1184,6 @@ class FilterPlan(Plan):
             if out:
                 yield out
 
-    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Yield selection views over input batches — fully-passing
-        batches flow through untouched, partial ones become a
-        :class:`SelectionBatch` so no row tuples materialise here."""
-        columnar_predicate = self.columnar_predicate
-        if columnar_predicate is None:
-            yield from super().column_batches(ctx, size)
-            return
-        for batch in self.input.column_batches(ctx, size):
-            mask = columnar_predicate(batch, ctx)
-            indices = [index for index, keep in enumerate(mask) if keep is True]
-            if not indices:
-                continue
-            if len(indices) == len(batch):
-                yield batch
-            else:
-                yield SelectionBatch(batch, indices)
-
     def _describe(self) -> str:
         if self.residual_texts:
             residual = " AND ".join(self.residual_texts)
@@ -1380,8 +1209,6 @@ class ProjectPlan(Plan):
         #: Chunk-at-a-time column closures (attached by the planner in
         #: batch mode); one per select-list expression.
         self.batch_exprs: list[BatchFn] | None = None
-        #: Column-batch closures (columnar mode); one per expression.
-        self.columnar_exprs: list[BatchFn] | None = None
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
@@ -1403,21 +1230,6 @@ class ProjectPlan(Plan):
             columns = [fn(chunk, ctx) for fn in batch_exprs]
             yield list(zip(*columns))
 
-    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Yield column-major output batches; row tuples are only zipped
-        together if a downstream operator asks for ``rows_view``."""
-        columnar_exprs = self.columnar_exprs
-        if columnar_exprs is None:
-            yield from super().column_batches(ctx, size)
-            return
-        for batch in self.input.column_batches(ctx, size):
-            if not columnar_exprs:
-                yield ColumnBatch(len(batch), cols=[])
-                continue
-            yield ColumnBatch(
-                len(batch), cols=[fn(batch, ctx) for fn in columnar_exprs]
-            )
-
     def _describe(self) -> str:
         return f"Project({', '.join(s.name for s in self.schema)})"
 
@@ -1434,8 +1246,6 @@ class AggregateSpec:
         self.distinct = distinct
         #: Chunk-at-a-time closure for ``arg`` (attached in batch mode).
         self.batch_arg: BatchFn | None = None
-        #: Column-batch closure for ``arg`` (attached in columnar mode).
-        self.columnar_arg: BatchFn | None = None
 
     def new_state(self) -> "_AggState":
         """Fresh running state for one group."""
@@ -1561,8 +1371,6 @@ class AggregatePlan(Plan):
         self.schema = schema
         #: Chunk-at-a-time closures for the group keys (batch mode).
         self.batch_group: list[BatchFn] | None = None
-        #: Column-batch closures for the group keys (columnar mode).
-        self.columnar_group: list[BatchFn] | None = None
 
     def rows(self, ctx: EvalContext) -> Iterator[tuple]:
         """Yield the operator's result rows."""
@@ -1631,58 +1439,6 @@ class AggregatePlan(Plan):
         for start in range(0, len(out), size):
             yield out[start : start + size]
 
-    def _argument_columns_columnar(self, batch, ctx: EvalContext) -> list[list | None]:
-        """Columnar twin of :meth:`_argument_columns`."""
-        columns: list[list | None] = []
-        for spec in self.aggregates:
-            if spec.arg is None:
-                columns.append(None)
-            elif spec.columnar_arg is not None:
-                columns.append(spec.columnar_arg(batch, ctx))
-            else:
-                arg = spec.arg
-                columns.append([arg(row, ctx) for row in batch.rows_view()])
-        return columns
-
-    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Fold input column batches; argument and group-key columns are
-        read without materialising input row tuples."""
-        if not self.group_exprs:
-            states = [spec.new_state() for spec in self.aggregates]
-            for batch in self.input.column_batches(ctx, size):
-                columns = self._argument_columns_columnar(batch, ctx)
-                for state, column in zip(states, columns):
-                    state.update_chunk(column, len(batch))
-            yield ColumnBatch(
-                1, rows=[tuple(state.result() for state in states)]
-            )
-            return
-        groups: dict[tuple, list[_AggState]] = {}
-        order: list[tuple] = []
-        columnar_group = self.columnar_group
-        for batch in self.input.column_batches(ctx, size):
-            if columnar_group is not None:
-                key_columns = [fn(batch, ctx) for fn in columnar_group]
-                keys = list(zip(*key_columns))
-            else:
-                keys = [
-                    tuple(expr(row, ctx) for expr in self.group_exprs)
-                    for row in batch.rows_view()
-                ]
-            columns = self._argument_columns_columnar(batch, ctx)
-            for index, key in enumerate(keys):
-                states = groups.get(key)
-                if states is None:
-                    states = [spec.new_state() for spec in self.aggregates]
-                    groups[key] = states
-                    order.append(key)
-                for state, column in zip(states, columns):
-                    state.update_value(column[index] if column is not None else None)
-        out = [key + tuple(state.result() for state in groups[key]) for key in order]
-        for start in range(0, len(out), size):
-            chunk = out[start : start + size]
-            yield ColumnBatch(len(chunk), rows=chunk)
-
     def _describe(self) -> str:
         return f"Aggregate(groups={len(self.group_exprs)}, aggs={len(self.aggregates)})"
 
@@ -1729,17 +1485,6 @@ class SortPlan(Plan):
         ordered = self._sorted(materialised, ctx)
         for start in range(0, len(ordered), size):
             yield ordered[start : start + size]
-
-    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Sorting genuinely needs row tuples: materialise, sort once,
-        re-chunk."""
-        materialised: list[tuple] = []
-        for batch in self.input.column_batches(ctx, size):
-            materialised.extend(batch.rows_view())
-        ordered = self._sorted(materialised, ctx)
-        for start in range(0, len(ordered), size):
-            chunk = ordered[start : start + size]
-            yield ColumnBatch(len(chunk), rows=chunk)
 
     def _describe(self) -> str:
         return "Sort"
@@ -1788,14 +1533,6 @@ class CutPlan(Plan):
         for chunk in self.input.batches(ctx, size):
             yield [row[:width] for row in chunk]
 
-    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Trim by keeping the leading columns — no per-row slicing."""
-        width = self.width
-        for batch in self.input.column_batches(ctx, size):
-            yield ColumnBatch(
-                len(batch), cols=[batch.column(index) for index in range(width)]
-            )
-
     def _describe(self) -> str:
         return f"Cut({self.width})"
 
@@ -1830,20 +1567,6 @@ class DistinctPlan(Plan):
                     out.append(row)
             if out:
                 yield out
-
-    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Dedup needs hashable row tuples; consume the input columnar
-        and re-wrap the survivors."""
-        seen: set[tuple] = set()
-        add = seen.add
-        for batch in self.input.column_batches(ctx, size):
-            out = []
-            for row in batch.rows_view():
-                if row not in seen:
-                    add(row)
-                    out.append(row)
-            if out:
-                yield ColumnBatch(len(out), rows=out)
 
     def _describe(self) -> str:
         return "Distinct"
@@ -1882,19 +1605,6 @@ class LimitPlan(Plan):
                 return
             remaining -= len(chunk)
             yield chunk
-
-    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Yield input batches until the row budget is spent."""
-        remaining = self.limit
-        if remaining <= 0:
-            return
-        for batch in self.input.column_batches(ctx, size):
-            if len(batch) >= remaining:
-                rows = batch.rows_view()[:remaining]
-                yield ColumnBatch(len(rows), rows=rows)
-                return
-            remaining -= len(batch)
-            yield batch
 
     def _describe(self) -> str:
         return f"Limit({self.limit})"
@@ -1946,25 +1656,6 @@ class UnionPlan(Plan):
                         out.append(row)
                 if out:
                     yield out
-
-    def column_batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator:
-        """Yield each branch's column batches in turn (deduplicated
-        through row tuples unless ALL)."""
-        if self.all:
-            for branch in self.branches:
-                yield from branch.column_batches(ctx, size)
-            return
-        seen: set[tuple] = set()
-        add = seen.add
-        for branch in self.branches:
-            for batch in branch.column_batches(ctx, size):
-                out = []
-                for row in batch.rows_view():
-                    if row not in seen:
-                        add(row)
-                        out.append(row)
-                if out:
-                    yield ColumnBatch(len(out), rows=out)
 
     def _describe(self) -> str:
         return f"Union(all={self.all})"

@@ -1056,32 +1056,6 @@ class BatchCompiler:
         )
 
 
-class ColumnarCompiler(BatchCompiler):
-    """Batch compiler whose chunks are *column batches*, not row lists.
-
-    A column batch (a storage :class:`~repro.fdbs.storage.ColumnChunk`
-    or an executor ``ColumnBatch``) exposes ``column(index)`` returning
-    the decomposed values of one column, plus ``len``/iteration over row
-    tuples for the guarded fallback.  Only the column-reference leaf
-    differs from :class:`BatchCompiler`: it reads the cached column
-    directly instead of rebuilding it from row tuples, so repeated
-    predicates over sealed chunks touch no tuples at all.  Every other
-    vectorized node already operates on its children's value lists.
-    """
-
-    def _batch_columnref(self, expr: ast.ColumnRef) -> tuple[BatchFn | None, bool]:
-        resolved = self.row.layout.resolve(expr.qualifier, expr.name)
-        if resolved is not None:
-            index, slot = resolved
-            boolean = slot.type is not None and slot.type.name == "BOOLEAN"
-            return lambda chunk, ctx: chunk.column(index), boolean
-        param = self.row.params.resolve(expr.qualifier, expr.name)
-        if param is not None:
-            pindex, _ = param
-            return lambda chunk, ctx: [ctx.params[pindex]] * len(chunk), False
-        return None, False
-
-
 def _plain_numeric(t: SqlType | None) -> bool:
     """Numeric and safe for raw Python arithmetic/comparison (no
     DECIMAL: row mode aligns mixed DECIMAL operands via ``Decimal(str(x))``,

@@ -53,7 +53,6 @@ from repro.fdbs.executor import (
 from repro.fdbs.expr import (
     BatchCompiler,
     BatchFn,
-    ColumnarCompiler,
     ColumnSlot,
     CompiledExpr,
     EvalContext,
@@ -91,7 +90,7 @@ class Planner:
         statistics: "Callable[[str], object | None] | None" = None,
         batch_invoker=None,
         enable_zone_maps: bool = True,
-        columnar_note: Callable[[int, int], None] | None = None,
+        chunk_note: Callable[[int, int], None] | None = None,
         join_strategy: str = "auto",
         adaptive_factor: float | None = None,
         join_counter: Callable[[str], None] | None = None,
@@ -110,10 +109,8 @@ class Planner:
         self.pushdown_counter = pushdown_counter
         #: Index selection for local equality conjuncts.
         self.enable_index_selection = enable_index_selection
-        #: "row" (Volcano, per-row dispatch), "batch" (chunked execution
-        #: with vectorized expressions and hash equi-joins) or "columnar"
-        #: (batch semantics over storage column chunks with zone-map
-        #: chunk pruning).
+        #: "row" (Volcano, per-row dispatch) or "batch" (chunked
+        #: execution with vectorized expressions and hash equi-joins).
         self.execution_mode = execution_mode
         #: "syntactic" (FROM order as written) or "cost" (statistics-fed
         #: join reordering and bind joins; see repro.fdbs.optimizer).
@@ -123,12 +120,13 @@ class Planner:
         #: Batched table-function invoker for UDTF bind joins (the
         #: fenced runtime amortizes fixed per-call overheads).
         self.batch_invoker = batch_invoker
-        #: Zone-map chunk pruning for columnar scans (ablation switch;
-        #: disabled it leaves columnar plans scanning every chunk).
+        #: Zone-map chunk pruning for local scans in every execution
+        #: mode (ablation switch; disabled, scans read every row).
         self.enable_zone_maps = enable_zone_maps
-        #: Callback ``(chunks_scanned, chunks_pruned)`` wired into
-        #: columnar table scans for the database's runtime counters.
-        self.columnar_note = columnar_note
+        #: Callback ``(chunks_scanned, chunks_pruned)`` wired into every
+        #: table scan for the database's chunk runtime counters (scans
+        #: with zone-map checks read chunks and report).
+        self.chunk_note = chunk_note
         #: Local join-strategy selection for cost-mode comma joins:
         #: "auto" prices the repertoire, a named strategy forces it.
         self.join_strategy = join_strategy
@@ -144,18 +142,10 @@ class Planner:
         self._view_stack: list[str] = []
 
     def _batch(self, compiler: ExpressionCompiler, expr: ast.Expression) -> BatchFn | None:
-        """Batch-compile ``expr`` when planning for batch/columnar
-        execution (columnar plans keep row-chunk closures for operators
-        that fall back to the batch protocol)."""
-        if self.execution_mode not in ("batch", "columnar"):
+        """Batch-compile ``expr`` when planning for batch execution."""
+        if self.execution_mode != "batch":
             return None
         return BatchCompiler(compiler).compile(expr)
-
-    def _columnar(self, compiler: ExpressionCompiler, expr: ast.Expression) -> BatchFn | None:
-        """Column-batch-compile ``expr`` when planning columnar."""
-        if self.execution_mode != "columnar":
-            return None
-        return ColumnarCompiler(compiler).compile(expr)
 
     # -- public API -----------------------------------------------------------
 
@@ -231,7 +221,6 @@ class Planner:
             input_est = plan.est_rows
             plan = FilterPlan(plan, compiler.compile(where), "Filter(WHERE)")
             plan.batch_predicate = self._batch(compiler, where)
-            plan.columnar_predicate = self._columnar(compiler, where)
             if had_remote and self.enable_pushdown:
                 from repro.fdbs.pushdown import split_conjuncts
 
@@ -260,7 +249,6 @@ class Planner:
             if having is not None:
                 plan = FilterPlan(plan, compiler.compile(having), "Filter(HAVING)")
                 plan.batch_predicate = self._batch(compiler, having)
-                plan.columnar_predicate = self._columnar(compiler, having)
 
         exprs: list[CompiledExpr] = []
         schema: list[ColumnSlot] = []
@@ -282,13 +270,9 @@ class Planner:
             plan = self._project_and_sort(plan, layout, exprs, schema, select, items)
         else:
             plan = ProjectPlan(plan, exprs, schema)
-            if self.execution_mode in ("batch", "columnar"):
+            if self.execution_mode == "batch":
                 plan.batch_exprs = [
                     self._batch(compiler, item.expr) for item in items
-                ]
-            if self.execution_mode == "columnar":
-                plan.columnar_exprs = [
-                    self._columnar(compiler, item.expr) for item in items
                 ]
 
         if select.distinct:
@@ -352,24 +336,16 @@ class Planner:
                 for index, compiled in enumerate(hidden)
             ]
             plan = ProjectPlan(plan, exprs + hidden, extended_schema)
-            if self.execution_mode in ("batch", "columnar"):
+            if self.execution_mode == "batch":
                 plan.batch_exprs = [
                     self._batch(input_compiler, item.expr) for item in items
                 ] + [self._batch(input_compiler, expr) for expr in hidden_asts]
-            if self.execution_mode == "columnar":
-                plan.columnar_exprs = [
-                    self._columnar(input_compiler, item.expr) for item in items
-                ] + [self._columnar(input_compiler, expr) for expr in hidden_asts]
             plan = SortPlan(plan, keys)
             return CutPlan(plan, width, schema)
         plan = ProjectPlan(plan, exprs, schema)
-        if self.execution_mode in ("batch", "columnar"):
+        if self.execution_mode == "batch":
             plan.batch_exprs = [
                 self._batch(input_compiler, item.expr) for item in items
-            ]
-        if self.execution_mode == "columnar":
-            plan.columnar_exprs = [
-                self._columnar(input_compiler, item.expr) for item in items
             ]
         return SortPlan(plan, keys)
 
@@ -440,7 +416,7 @@ class Planner:
         local_scans: dict[str, TableScanPlan] = {}
         consumed: list[ast.Expression] = []
         #: Alias -> local scan eligible for zone-map pruning.  Pruning
-        #: applies in *every* execution mode, not just columnar: a scan
+        #: applies in *every* execution mode: a scan
         #: must deliver the same rows however they are dispatched, or a
         #: lazily-pulled inner side (a remote fetch, a rate-limited
         #: web-API request) would run under one mode and not another
@@ -789,10 +765,6 @@ class Planner:
             left, scan, "INNER", [left_key], [right_key], None, [key_name]
         )
         plan.batch_left_keys = [BatchCompiler(left_compiler).compile(key_ast)]
-        if self.execution_mode == "columnar":
-            plan.columnar_left_keys = [
-                ColumnarCompiler(left_compiler).compile(key_ast)
-            ]
         return plan
 
     def _try_adaptive_bind(
@@ -933,8 +905,7 @@ class Planner:
                 for column in table_def.columns
             ]
             plan = TableScanPlan(table_def.storage, schema, item.name)
-            if self.execution_mode == "columnar":
-                plan.columnar_note = self.columnar_note
+            plan.chunk_note = self.chunk_note
             return plan
         if self.catalog.has_nickname(item.name):
             if self.remote_fetcher is None:
@@ -1009,7 +980,7 @@ class Planner:
         elif item.kind != "CROSS":
             raise PlanError(f"{item.kind} JOIN requires an ON condition")
         if (
-            self.execution_mode in ("batch", "columnar")
+            self.execution_mode == "batch"
             and item.on is not None
             and item.kind in ("INNER", "LEFT OUTER")
         ):
@@ -1060,11 +1031,6 @@ class Planner:
         )
         batch = BatchCompiler(left_compiler)
         plan.batch_left_keys = [batch.compile(key_ast) for key_ast in key_asts]
-        if self.execution_mode == "columnar":
-            columnar = ColumnarCompiler(left_compiler)
-            plan.columnar_left_keys = [
-                columnar.compile(key_ast) for key_ast in key_asts
-            ]
         return plan
 
     def _equi_key(
@@ -1286,7 +1252,6 @@ class Planner:
                     raise PlanError("aggregates cannot be nested")
                 spec = AggregateSpec(name, compiler.compile(call.args[0]), call.distinct)
                 spec.batch_arg = self._batch(compiler, call.args[0])
-                spec.columnar_arg = self._columnar(compiler, call.args[0])
                 agg_specs.append(spec)
             else:
                 raise PlanError(f"aggregate {call.name} takes exactly one argument")
@@ -1298,14 +1263,10 @@ class Planner:
             ColumnSlot(None, f"$a{index}", None) for index in range(len(agg_specs))
         ]
         agg_plan = AggregatePlan(plan, group_compiled, agg_specs, post_schema)
-        if self.execution_mode in ("batch", "columnar") and select.group_by:
+        if self.execution_mode == "batch" and select.group_by:
             agg_plan.batch_group = [
                 self._batch(compiler, expr) for expr in select.group_by
             ]
-            if self.execution_mode == "columnar":
-                agg_plan.columnar_group = [
-                    self._columnar(compiler, expr) for expr in select.group_by
-                ]
         post_layout = RowLayout(post_schema)
 
         replacement: dict[str, ast.Expression] = {}
@@ -1364,14 +1325,10 @@ class Planner:
                 for index, expr in enumerate(extra_exprs)
             ]
             plan = ProjectPlan(plan, identity + extra_exprs, extended_schema)
-            if self.execution_mode in ("batch", "columnar"):
+            if self.execution_mode == "batch":
                 plan.batch_exprs = [
                     _slot_batch(index) for index in range(width)
                 ] + [self._batch(compiler, expr) for expr in extra_asts]
-                if self.execution_mode == "columnar":
-                    plan.columnar_exprs = [
-                        _slot_columnar(index) for index in range(width)
-                    ] + [self._columnar(compiler, expr) for expr in extra_asts]
         plan = SortPlan(plan, key_positions)
         if extra_exprs:
             plan = CutPlan(plan, width, output_schema)
@@ -1411,11 +1368,6 @@ def _slot_ref(index: int, slot: ColumnSlot) -> CompiledExpr:
 def _slot_batch(index: int) -> BatchFn:
     """Batch identity extractor for one output slot position."""
     return lambda chunk, ctx, _i=index: [row[_i] for row in chunk]
-
-
-def _slot_columnar(index: int) -> BatchFn:
-    """Column-batch identity extractor for one output slot position."""
-    return lambda batch, ctx, _i=index: batch.column(_i)
 
 
 def _column_refs(expr: ast.Expression):

@@ -171,13 +171,13 @@ def push_predicates(
 
 
 # ---------------------------------------------------------------------------
-# Zone-map prune-check compilation (columnar execution mode)
+# Zone-map prune-check compilation (every execution mode)
 # ---------------------------------------------------------------------------
 #
 # A prune check is the zone-map analogue of pushing a predicate into a
 # remote source: instead of shipping SQL text it compiles a WHERE
 # conjunct against the per-chunk (min, max, null_count) statistics of a
-# *local* columnar scan.  The contract is conservative may-match: the
+# *local* chunked scan.  The contract is conservative may-match: the
 # check receives one chunk's zone entry and returns False only when NO
 # row of the chunk can satisfy the conjunct — the conjunct itself stays
 # in the filter, so a check that keeps too much costs time, never

@@ -116,7 +116,7 @@ class Shell:
                 ".functions        list table functions\n"
                 ".stats            pool / cache / channel counters + RUNSTATS\n"
                 ".optimizer [m]    show or set planning mode (syntactic|cost)\n"
-                ".chunksize [n]    show or set rows per chunk (batch/columnar)\n"
+                ".chunksize [n]    show or set rows per chunk (zone maps, batch)\n"
                 ".time on|off      toggle virtual-time display\n"
                 ".user <name>      switch the session user\n"
                 ".quit             leave\n"

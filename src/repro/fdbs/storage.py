@@ -54,7 +54,7 @@ DEFAULT_CHUNK_SIZE = 1024
 
 
 class ColumnChunk:
-    """One chunk of a table's rows in columnar form, with zone maps.
+    """One chunk of a table's rows with per-column zone maps.
 
     A chunk covers a fixed rid range ``[start, start + chunk_size)`` of
     one arena; ``rows`` holds only the *live* tuples of that range, in
@@ -63,9 +63,8 @@ class ColumnChunk:
     immutable rid range, so the cache is safe to share across versions
     and threads (filling a cache slot is idempotent).
 
-    The chunk also satisfies the executor's batch protocol (``len``,
-    iteration, ``rows_view``) so vectorized operators can consume it
-    directly without re-materialising row lists.
+    Scans hand ``rows`` to the executor directly (one batch per chunk in
+    batch mode), so pruned scans never re-materialise row lists.
     """
 
     __slots__ = ("start", "rows", "count", "_width", "_columns", "_zones")
@@ -98,16 +97,6 @@ class ColumnChunk:
         """Eagerly decompose every column and compute its zone map."""
         for position in range(self._width):
             self.zone(position)
-
-    def rows_view(self) -> list[Row]:
-        """The chunk's live rows as tuples (no copy)."""
-        return self.rows
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        return iter(self.rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ColumnChunk start={self.start} live={self.count}>"
@@ -206,17 +195,17 @@ class _Arena:
         self.rows: list[Row | None] = rows if rows is not None else []
         self.pk_index: dict[tuple, int] = pk_index if pk_index is not None else {}
         self.indexes: dict[str, HashIndex] = indexes if indexes is not None else {}
-        #: Lazily-built columnar cache: ``(chunk_size, sealed_chunks)``
+        #: Lazily-built chunk cache: ``(chunk_size, sealed_chunks)``
         #: where ``sealed_chunks`` only ever grows while the arena is
-        #: current.  ``None`` until the first columnar access.
+        #: current.  ``None`` until the first chunked scan.
         self.chunk_state: tuple[int, list[ColumnChunk]] | None = None
 
     def copy(self) -> "_Arena":
         """Copy-on-write clone (rows list, pk index, secondary indexes).
 
-        The columnar cache is *not* carried over: the clone's rows are
+        The chunk cache is *not* carried over: the clone's rows are
         about to be mutated, so its chunks and zone maps are rebuilt
-        lazily on the next columnar access.
+        lazily on the next chunked scan.
         """
         return _Arena(
             rows=list(self.rows),
@@ -305,7 +294,7 @@ class Table:
         #: (set by the owning database to advance its snapshot map).
         self.publish_hook: Callable[["Table", TableVersion], None] | None = None
         self.versions_published = 0
-        #: Rids per column chunk for this table's columnar view.
+        #: Rids per column chunk (the zone-map granularity).
         self.chunk_size = chunk_size
         #: Times an arena's sealed-chunk cache was discarded and rebuilt
         #: (COW rebuild after UPDATE/DELETE, or a chunk-size change).
@@ -534,7 +523,7 @@ class Table:
 
         Concatenating the chunks' rows reproduces ``version.rows()``
         exactly (live rows in rid order) — the bit-identity anchor for
-        the columnar execution mode.
+        zone-map-pruned scans in every execution mode.
         """
         size = self.chunk_size
         arena = version.arena

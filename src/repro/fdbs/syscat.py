@@ -14,7 +14,7 @@ table:
 * ``SYSCAT_STATS``      — tabname, colname, card, ndv, nulls, minval,
   maxval: RUNSTATS snapshots feeding the cost-based optimizer
 * ``SYSCAT_RUNTIME_STATS`` — component, counter, value: live counters of
-  the statement cache, MVCC, columnar execution, the join subsystem
+  the statement cache, MVCC, chunks and zone maps, the join subsystem
   (``joins`` — joins_hash/merge/indexnlj/nlj operator counts,
   plans_invalidated, midquery_fallbacks, max_q_error_pct, stats_epoch)
   and (on machine-backed databases) the warm runtime pool, result

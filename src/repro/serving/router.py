@@ -45,6 +45,7 @@ from multiprocessing.connection import wait as connection_wait
 
 from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.errors import ServingError, ShardCrashError, WireProtocolError
+from repro.fdbs.engine import check_execution_mode
 from repro.serving.hashring import DEFAULT_REPLICAS, ConsistentHashRing
 from repro.serving.server import AdmissionController, WorkloadRunResult
 from repro.serving.shard import ShardConfig, shard_worker_main
@@ -115,6 +116,8 @@ class ShardedIntegrationServer:
     ):
         if shards < 1:
             raise ServingError(f"shards must be >= 1, got {shards!r}")
+        if execution_mode is not None:
+            check_execution_mode(execution_mode)
         self.shards = shards
         self.config = ShardConfig(
             data=data if data is not None else generate_enterprise_data(),

@@ -46,6 +46,7 @@ from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
 from repro.core.server import IntegrationServer
 from repro.errors import AdmissionError, ServingError
+from repro.fdbs.engine import check_execution_mode
 from repro.serving.session import ClientSession, SessionSummary
 from repro.serving.workload import SessionScript
 from repro.simtime.costs import CostModel
@@ -269,6 +270,8 @@ class ConcurrentIntegrationServer:
             raise ServingError(
                 f"mode must be one of {self.MODES}, got {mode!r}"
             )
+        if execution_mode is not None:
+            check_execution_mode(execution_mode)
         self.workers = workers
         self.mode = mode
         self.pooling = pooling

@@ -56,7 +56,7 @@ class ShardConfig:
     cost model and the plain scenario knobs all do.  ``setup_sql``
     statements run on each fresh shard server before its script (the
     battery-through-serving suite uses this for DDL/loads/RUNSTATS);
-    ``execution_mode`` selects row/batch/columnar after setup.
+    ``execution_mode`` selects row or batch after setup.
     """
 
     data: EnterpriseData | None = None

@@ -26,7 +26,7 @@ ARCHITECTURES = [
     Architecture.ENHANCED_JAVA_UDTF,
 ]
 
-MODES = ("row", "batch", "columnar")
+MODES = ("row", "batch")
 OPTIMIZERS = ("syntactic", "cost")
 
 VERIFY_SCRATCH = "SELECT * FROM bat_scratch ORDER BY bat_scratch.k"

@@ -49,7 +49,7 @@ def test_nightly_full_grid_parity(nightly_corpus, nightly_outcomes):
         for architecture in ARCHITECTURES:
             for optimizer in OPTIMIZERS:
                 base = nightly_outcomes[(architecture, "row", optimizer)][i]
-                for mode in ("batch", "columnar"):
+                for mode in MODES[1:]:
                     o = nightly_outcomes[(architecture, mode, optimizer)][i]
                     if o.rows != base.rows or o.elapsed != base.elapsed:
                         failures.append((i, "mode", architecture.name, mode, optimizer))

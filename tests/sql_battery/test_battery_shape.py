@@ -26,13 +26,14 @@ Divergences this battery surfaced (fixed at root, pinned below)
 ===============================================================
 
 * ``test_pinned_pruned_empty_outer_skips_remote_fetch``: zone-map
-  pruning used to run only in columnar mode, so a predicate that
-  provably empties the outer side of a join suppressed the lazy pull
-  of a remote inner side (one web-API/archive request + its simulated
-  latency) under columnar but not under row/batch.  Fixed by attaching
-  zone checks in every execution mode (planner ``_plan_from``); the
-  follow-on lateral-query divergences were cascades of the shifted
-  clock (process-pool warmth decays with absolute virtual time).
+  pruning used to run only in the (since removed) columnar mode, so a
+  predicate that provably empties the outer side of a join suppressed
+  the lazy pull of a remote inner side (one web-API/archive request +
+  its simulated latency) under columnar but not under row/batch.
+  Fixed by attaching zone checks in every execution mode (planner
+  ``_plan_from``); the follow-on lateral-query divergences were
+  cascades of the shifted clock (process-pool warmth decays with
+  absolute virtual time).
 """
 
 from collections import Counter
@@ -135,7 +136,7 @@ class TestCorpusShape:
 
 
 class TestModeParity:
-    """row / batch / columnar: bit-identical rows and simulated times."""
+    """row / batch: bit-identical rows and simulated times."""
 
     @pytest.mark.parametrize("architecture", ARCHITECTURES)
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
@@ -143,7 +144,7 @@ class TestModeParity:
         self, architecture, optimizer
     ):
         base = combo(architecture, "row", optimizer)
-        for mode in ("batch", "columnar"):
+        for mode in MODES[1:]:
             other = combo(architecture, mode, optimizer)
             for i, query in enumerate(corpus()):
                 assert other[i].rows == base[i].rows, (

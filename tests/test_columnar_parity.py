@@ -1,12 +1,11 @@
-"""Columnar execution parity: bit-identical rows *and* simulated times.
+"""Column-chunk storage parity: bit-identical rows *and* simulated times.
 
-Columnar mode changes only how often Python dispatches — storage column
-chunks, zone-map pruning and column-at-a-time operators must never
-change result rows, their order, or the simulated cost accounting,
-across every architecture and both optimizer modes.  Edge cases cover
-all-NULL chunks, empty tables, tombstoned slots after a COW arena
-rebuild, stats-less columns, snapshots pinned against an old arena, the
-zone-map ablation toggle and non-default chunk sizes.
+Storage column chunks and zone-map pruning serve every execution mode.
+Row and batch execution must agree on result rows, their order and the
+simulated cost accounting, across every architecture and both optimizer
+modes.  Edge cases cover all-NULL chunks, empty tables, tombstoned slots
+after a COW arena rebuild, stats-less columns, snapshots pinned against
+an old arena, the zone-map ablation toggle and non-default chunk sizes.
 """
 
 import pytest
@@ -14,6 +13,7 @@ import pytest
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
 from repro.fdbs.engine import Database
+from repro.sysmodel.machine import Machine
 
 ARCHITECTURES = [
     Architecture.WFMS,
@@ -22,7 +22,7 @@ ARCHITECTURES = [
     Architecture.ENHANCED_JAVA_UDTF,
 ]
 
-MODES = ("row", "batch", "columnar")
+MODES = ("row", "batch")
 
 WATCH_SUPPLIERS = [1234, 5001, 1234, 5002, 5001, 5003, 1234, 5004, 5002, 1234]
 
@@ -51,9 +51,11 @@ def prepare(architecture, optimizer="syntactic", runstats=True):
     return scenario
 
 
-def plain_db(mode="columnar", chunk_size=None):
-    """A machine-less database with a small mixed-type table."""
-    db = Database("parity", execution_mode=mode, chunk_size=chunk_size)
+def plain_db(mode, chunk_size=None):
+    """A database on its own machine with a small mixed-type table."""
+    db = Database(
+        "parity", machine=Machine(), execution_mode=mode, chunk_size=chunk_size
+    )
     db.execute(
         "CREATE TABLE t (id INT PRIMARY KEY, v DOUBLE, s CHAR(6), flag INT)"
     )
@@ -72,8 +74,7 @@ class TestScenarioParity:
             fdbs.execute(FEDERATED_QUERY)  # same warm-up on every side
             rows, elapsed = scenario.server.elapsed(fdbs.execute, FEDERATED_QUERY)
             outcomes[mode] = (rows.rows, elapsed)
-        assert outcomes["columnar"] == outcomes["row"]
-        assert outcomes["columnar"] == outcomes["batch"]
+        assert outcomes["batch"] == outcomes["row"]
         assert len(outcomes["row"][0]) == len(WATCH_SUPPLIERS)
 
     @pytest.mark.parametrize("architecture", ARCHITECTURES)
@@ -86,8 +87,7 @@ class TestScenarioParity:
             fdbs.execute(LOCAL_QUERY)
             rows, elapsed = scenario.server.elapsed(fdbs.execute, LOCAL_QUERY)
             outcomes[mode] = (rows.rows, elapsed)
-        assert outcomes["columnar"] == outcomes["row"]
-        assert outcomes["columnar"] == outcomes["batch"]
+        assert outcomes["batch"] == outcomes["row"]
 
 
 def fill(db, rows):
@@ -95,18 +95,26 @@ def fill(db, rows):
         db.execute("INSERT INTO t VALUES (?, ?, ?, ?)", params=list(row))
 
 
+def timed(db, sql, **kwargs):
+    """Execute ``sql``; return its rows and the simulated time it took."""
+    clock = db.machine.clock
+    start = clock.now
+    rows = db.execute(sql, **kwargs).rows
+    return rows, clock.now - start
+
+
 def all_modes(rows, queries, chunk_size=None, mutate=None):
-    """Execute ``queries`` in every mode (fresh db each) and compare."""
+    """Execute ``queries`` in every mode (fresh db each) and compare
+    rows and simulated times."""
     results = {}
     for mode in MODES:
         db = plain_db(mode, chunk_size=chunk_size)
         fill(db, rows)
         if mutate is not None:
             mutate(db)
-        results[mode] = [db.execute(q).rows for q in queries]
-    assert results["columnar"] == results["row"], "columnar vs row rows differ"
-    assert results["batch"] == results["row"], "batch vs row rows differ"
-    return results["row"]
+        results[mode] = [timed(db, q) for q in queries]
+    assert results["batch"] == results["row"], "batch vs row rows or time differ"
+    return [rows for rows, _ in results["row"]]
 
 
 class TestEdgeCases:
@@ -167,29 +175,41 @@ class TestEdgeCases:
         )
 
     def test_pinned_snapshot_sees_old_arena(self):
-        db = plain_db("columnar", chunk_size=4)
-        fill(db, [(i, float(i), "x", 0) for i in range(20)])
-        snapshot = db.pin_snapshot()
-        db.execute("DELETE FROM t WHERE id >= 10")
-        db.execute("UPDATE t SET v = -1.0 WHERE id = 0")
-        old = db.execute(
-            "SELECT id, v FROM t WHERE id >= 0 ORDER BY id", snapshot=snapshot
-        )
-        assert old.rows == [(i, float(i)) for i in range(20)]
-        new = db.execute("SELECT id, v FROM t WHERE id >= 0 ORDER BY id")
-        assert new.rows == [(0, -1.0)] + [(i, float(i)) for i in range(1, 10)]
+        outcomes = {}
+        for mode in MODES:
+            db = plain_db(mode, chunk_size=4)
+            fill(db, [(i, float(i), "x", 0) for i in range(20)])
+            snapshot = db.pin_snapshot()
+            db.execute("DELETE FROM t WHERE id >= 10")
+            db.execute("UPDATE t SET v = -1.0 WHERE id = 0")
+            query = "SELECT id, v FROM t WHERE id >= 0 ORDER BY id"
+            old = timed(db, query, snapshot=snapshot)
+            assert old[0] == [(i, float(i)) for i in range(20)]
+            new = timed(db, query)
+            assert new[0] == [(0, -1.0)] + [(i, float(i)) for i in range(1, 10)]
+            outcomes[mode] = (old, new)
+        assert outcomes["batch"] == outcomes["row"]
 
     def test_zone_maps_off_identical_rows(self):
-        db = plain_db("columnar", chunk_size=4)
-        fill(db, [(i, float(i % 5), "c%d" % (i % 2), i) for i in range(40)])
-        query = "SELECT id, v FROM t WHERE id BETWEEN 8 AND 12 ORDER BY id"
-        with_maps = db.execute(query).rows
-        stats_before = db.columnar_stats()
-        assert stats_before["chunks_pruned"] > 0
-        db.set_zone_maps(False)
-        assert db.execute(query).rows == with_maps
-        db.set_zone_maps(True)
-        assert db.execute(query).rows == with_maps
+        outcomes = {}
+        for mode in MODES:
+            db = plain_db(mode, chunk_size=4)
+            fill(db, [(i, float(i % 5), "c%d" % (i % 2), i) for i in range(40)])
+            query = "SELECT id, v FROM t WHERE id BETWEEN 8 AND 12 ORDER BY id"
+            db.execute(query)  # warm the statement cache
+            with_maps = timed(db, query)
+            assert db.columnar_stats()["chunks_pruned"] == 16
+            db.set_zone_maps(False)
+            without_maps = timed(db, query)
+            # With pruning off the scan reads the heap and counts nothing.
+            assert db.columnar_stats()["chunks_pruned"] == 16
+            assert db.columnar_stats()["zone_maps_enabled"] == 0
+            db.set_zone_maps(True)
+            again = timed(db, query)
+            assert without_maps == with_maps
+            assert again == with_maps
+            outcomes[mode] = with_maps
+        assert outcomes["batch"] == outcomes["row"]
 
     @pytest.mark.parametrize("chunk_size", [1, 3, 1024])
     def test_chunk_sizes(self, chunk_size):
@@ -206,44 +226,55 @@ class TestEdgeCases:
     def test_set_chunk_size_validation(self):
         from repro.errors import ExecutionError
 
-        db = plain_db("columnar")
-        for bad in (0, -5, True, "16", 2**21):
-            with pytest.raises(ExecutionError):
-                db.set_chunk_size(bad)
-        db.set_chunk_size(16)
-        assert db.chunk_size == 16
-        assert db.catalog.get_table("t").storage.chunk_size == 16
+        for mode in MODES:
+            db = plain_db(mode)
+            for bad in (0, -5, True, "16", 2**21):
+                with pytest.raises(ExecutionError):
+                    db.set_chunk_size(bad)
+            db.set_chunk_size(16)
+            assert db.chunk_size == 16
+            assert db.catalog.get_table("t").storage.chunk_size == 16
 
 
 class TestCounters:
+    PINNED_QUERY = "SELECT COUNT(*) FROM t WHERE id BETWEEN 0 AND 3"
+
     def test_counters_and_explain_suffix(self):
-        db = plain_db("columnar", chunk_size=4)
-        fill(db, [(i, float(i), "x", 0) for i in range(40)])
-        db.execute("SELECT COUNT(*) FROM t WHERE id BETWEEN 0 AND 3")
-        stats = db.columnar_stats()
-        assert stats["chunks_pruned"] > 0
-        assert stats["chunks_scanned"] > 0
-        assert stats["chunks_sealed"] > 0
-        plan = db.execute(
-            "EXPLAIN ANALYZE SELECT COUNT(*) FROM t WHERE id BETWEEN 0 AND 3"
-        )
-        text = "\n".join(line for (line,) in plan.rows)
-        assert "pruned=" in text
-        assert "zone:" in text
+        deltas = {}
+        for mode in MODES:
+            db = plain_db(mode, chunk_size=4)
+            fill(db, [(i, float(i), "x", 0) for i in range(40)])
+            before = db.columnar_stats()
+            assert db.execute(self.PINNED_QUERY).rows == [(4,)]
+            after = db.columnar_stats()
+            # 40 rows in chunks of 4: ids 0..3 sit in chunk 0 only.
+            deltas[mode] = (
+                after["chunks_scanned"] - before["chunks_scanned"],
+                after["chunks_pruned"] - before["chunks_pruned"],
+            )
+            assert after["chunks_sealed"] == 10
+            plan = db.execute("EXPLAIN ANALYZE " + self.PINNED_QUERY)
+            text = "\n".join(line for (line,) in plan.rows)
+            assert "[pruned=9/10 chunks]" in text
+            assert "zone:" in text
+        assert deltas == {"row": (1, 9), "batch": (1, 9)}
 
     def test_syscat_exposes_columnar_component(self):
-        db = plain_db("columnar")
-        rows = db.execute(
-            "SELECT counter FROM SYSCAT_RUNTIME_STATS "
-            "WHERE component = 'columnar'"
-        ).rows
-        counters = {counter for (counter,) in rows}
-        assert {"chunks_scanned", "chunks_pruned", "zone_map_rebuilds"} <= counters
+        for mode in MODES:
+            db = plain_db(mode)
+            rows = db.execute(
+                "SELECT counter FROM SYSCAT_RUNTIME_STATS "
+                "WHERE component = 'columnar'"
+            ).rows
+            counters = {counter for (counter,) in rows}
+            assert {"chunks_scanned", "chunks_pruned", "zone_map_rebuilds"} <= counters
 
     def test_rebuild_counter_after_cow(self):
-        db = plain_db("columnar", chunk_size=4)
-        fill(db, [(i, float(i), "x", 0) for i in range(16)])
-        db.execute("SELECT COUNT(*) FROM t WHERE id > 0")  # seal chunks
-        db.execute("UPDATE t SET v = 0.0 WHERE id = 3")  # COW rebuild
-        db.execute("SELECT COUNT(*) FROM t WHERE id > 0")  # reseal
-        assert db.columnar_stats()["zone_map_rebuilds"] >= 1
+        for mode in MODES:
+            db = plain_db(mode, chunk_size=4)
+            fill(db, [(i, float(i), "x", 0) for i in range(16)])
+            db.execute("SELECT COUNT(*) FROM t WHERE id > 0")  # seal chunks
+            assert db.columnar_stats()["zone_map_rebuilds"] == 0
+            db.execute("UPDATE t SET v = 0.0 WHERE id = 3")  # COW rebuild
+            db.execute("SELECT COUNT(*) FROM t WHERE id > 0")  # reseal
+            assert db.columnar_stats()["zone_map_rebuilds"] == 1

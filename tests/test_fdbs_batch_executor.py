@@ -31,6 +31,20 @@ class TestExecutionMode:
             db.set_execution_mode("vector")
         assert db.execution_mode == "row"
 
+    def test_columnar_mode_rejected_everywhere(self):
+        from repro.serving import ConcurrentIntegrationServer, ShardedIntegrationServer
+
+        with pytest.raises(ExecutionError, match="'row' or 'batch'"):
+            Database("bad", execution_mode="columnar")
+        db = Database("ok", execution_mode="batch")
+        with pytest.raises(ExecutionError, match="'row' or 'batch'"):
+            db.set_execution_mode("columnar")
+        assert db.execution_mode == "batch"
+        with pytest.raises(ExecutionError, match="'row' or 'batch'"):
+            ConcurrentIntegrationServer(execution_mode="columnar")
+        with pytest.raises(ExecutionError, match="'row' or 'batch'"):
+            ShardedIntegrationServer(execution_mode="columnar")
+
     def test_set_execution_mode_switches(self):
         db = make_join_db("row")
         db.set_execution_mode("batch")
@@ -65,6 +79,17 @@ class TestExplainOutput:
         db = make_join_db("batch")
         rows = db.execute("EXPLAIN SELECT * FROM l").rows
         assert rows[0][0].startswith("Snapshot(epoch=")
+        assert rows[1] == ("Execution(mode=batch)",)
+
+    def test_explain_analyze_labels_the_row_pipeline(self):
+        # ANALYZE executes the row pipeline whatever the session mode;
+        # plain EXPLAIN keeps the session mode.
+        db = make_join_db("batch")
+        db.execute("INSERT INTO l VALUES (1, 'x')")
+        rows = db.execute("EXPLAIN ANALYZE SELECT * FROM l").rows
+        assert rows[1] == ("Execution(mode=row)",)
+        assert "actual=1" in rows[2][0]
+        rows = db.execute("EXPLAIN SELECT * FROM l").rows
         assert rows[1] == ("Execution(mode=batch)",)
 
     def test_batch_equi_join_uses_hash_join(self):

@@ -297,9 +297,9 @@ class TestNullAndEmptyBindEdges:
 class TestChunkCountersUnderLimit:
     """EXPLAIN ANALYZE ``pruned=N/M chunks`` and the global
     ``chunks_scanned`` counter stay consistent when LIMIT stops a
-    columnar scan early.
+    zone-map-checked scan early, in both execution modes.
 
-    Plain columnar execution streams: a satisfied LIMIT closes the scan
+    Plain execution streams: a satisfied LIMIT closes the scan
     generator, and the counters record only the chunks actually
     examined (pruned) or delivered (scanned).  EXPLAIN ANALYZE instead
     reports the execution *it* performed — the row pipeline, whose
@@ -308,9 +308,11 @@ class TestChunkCountersUnderLimit:
     delta equals delivered chunks (``M - N`` for the drain ANALYZE
     reports)."""
 
+    MODES = ("row", "batch")
+
     @staticmethod
-    def _db():
-        db = Database("chunks", execution_mode="columnar", chunk_size=4)
+    def _db(mode):
+        db = Database("chunks", execution_mode=mode, chunk_size=4)
         db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
         for index in range(40):
             db.execute(
@@ -318,38 +320,44 @@ class TestChunkCountersUnderLimit:
             )
         return db
 
-    def test_early_limit_counts_only_examined_chunks(self):
-        db = self._db()
+    @staticmethod
+    def _delta(db, sql):
+        """Run ``sql``; return its rows and (scanned, pruned) deltas."""
         before = db.columnar_stats()
-        rows = db.execute(
-            "SELECT t.id FROM t WHERE t.id >= 8 LIMIT 2"
-        ).rows
+        rows = db.execute(sql).rows
         after = db.columnar_stats()
-        assert rows == [(8,), (9,)]
-        # chunks 0-1 (ids 0..7) are zone-pruned; LIMIT 2 is satisfied
-        # by the first delivered chunk, and the scan stops there.
-        assert after["chunks_pruned"] - before["chunks_pruned"] == 2
-        assert after["chunks_scanned"] - before["chunks_scanned"] == 1
+        return rows, (
+            after["chunks_scanned"] - before["chunks_scanned"],
+            after["chunks_pruned"] - before["chunks_pruned"],
+        )
+
+    def test_early_limit_counts_only_examined_chunks(self):
+        deltas = {}
+        for mode in self.MODES:
+            rows, deltas[mode] = self._delta(
+                self._db(mode), "SELECT t.id FROM t WHERE t.id >= 8 LIMIT 2"
+            )
+            assert rows == [(8,), (9,)]
+        # chunks 0-1 (ids 0..7) are zone-pruned in both modes.  Batch
+        # mode streams the first FROM item, so LIMIT 2 is satisfied by
+        # the first delivered chunk and the scan stops there; the row
+        # pipeline materialises that static side and really reads all 8.
+        assert deltas == {"row": (8, 2), "batch": (1, 2)}
 
     def test_full_scan_counts_all_chunks(self):
-        db = self._db()
-        before = db.columnar_stats()
-        db.execute("SELECT t.id FROM t WHERE t.id >= 8")
-        after = db.columnar_stats()
-        assert after["chunks_pruned"] - before["chunks_pruned"] == 2
-        assert after["chunks_scanned"] - before["chunks_scanned"] == 8
+        for mode in self.MODES:
+            _, delta = self._delta(
+                self._db(mode), "SELECT t.id FROM t WHERE t.id >= 8"
+            )
+            assert delta == (8, 2), mode
 
     def test_explain_analyze_reports_its_own_drain(self):
-        db = self._db()
-        before = db.columnar_stats()
-        result = db.execute(
-            "EXPLAIN ANALYZE SELECT t.id FROM t WHERE t.id >= 8 LIMIT 2"
-        )
-        after = db.columnar_stats()
-        scan_line = next(
-            line for line, in result.rows if "TableScan" in line
-        )
-        assert "[pruned=2/10 chunks]" in scan_line
-        # identity: scanned delta == delivered == M - N
-        assert after["chunks_scanned"] - before["chunks_scanned"] == 8
-        assert after["chunks_pruned"] - before["chunks_pruned"] == 2
+        for mode in self.MODES:
+            result, delta = self._delta(
+                self._db(mode),
+                "EXPLAIN ANALYZE SELECT t.id FROM t WHERE t.id >= 8 LIMIT 2",
+            )
+            scan_line = next(line for line, in result if "TableScan" in line)
+            assert "[pruned=2/10 chunks]" in scan_line
+            # identity: scanned delta == delivered == M - N
+            assert delta == (8, 2), mode

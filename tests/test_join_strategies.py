@@ -42,7 +42,7 @@ def make_local_pair(optimizer="cost", mode="row", machine=None, runstats=True):
 
 
 class TestStrategySweep:
-    @pytest.mark.parametrize("mode", ["row", "batch", "columnar"])
+    @pytest.mark.parametrize("mode", ["row", "batch"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_rows_bit_identical_across_strategies(self, mode, strategy):
         baseline = make_local_pair("syntactic", mode).execute(JOIN_SQL).rows

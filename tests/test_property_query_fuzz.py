@@ -1,8 +1,8 @@
 """Random-query fuzzing: generated SELECTs must plan, run, and respect
 basic relational invariants — in every execution mode and under both
 optimizers (the cost combos run after RUNSTATS so plan decisions are
-statistics-driven, and a small chunk size makes columnar chunking and
-all-mode zone pruning real)."""
+statistics-driven, and a small chunk size makes chunking and zone
+pruning real)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +18,9 @@ COLUMNS = ["a", "b", "c"]
     scope="module",
     params=[
         ("row", "syntactic"),
-        ("columnar", "syntactic"),
+        ("batch", "syntactic"),
         ("row", "cost"),
-        ("columnar", "cost"),
+        ("batch", "cost"),
     ],
     ids=lambda p: f"{p[0]}-{p[1]}",
 )
