@@ -46,7 +46,7 @@ def measure(n_rows):
     on = build(machine_on, n_rows)
     machine_off = Machine()
     off = build(machine_off, n_rows)
-    off.pushdown_enabled = False
+    off.reconfigure(pushdown=False)
     return hot_time(on, machine_on, sql), hot_time(off, machine_off, sql)
 
 

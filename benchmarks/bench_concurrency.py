@@ -61,6 +61,7 @@ import pytest
 from repro.appsys.datagen import generate_enterprise_data
 from repro.core.scenario import build_scenario
 from repro.errors import StatementAbortedError
+from repro.fdbs.config import EngineConfig
 from repro.serving.router import ShardedIntegrationServer
 from repro.serving.server import ConcurrentIntegrationServer
 from repro.serving.workload import (
@@ -173,8 +174,7 @@ def run(
         with ConcurrentIntegrationServer(
             workers=workers,
             mode="isolated",
-            pooling=pooling,
-            result_cache=result_cache,
+            config=EngineConfig(pooling=pooling, result_cache=result_cache),
             data=data,
         ) as server:
             result = server.run_workload(

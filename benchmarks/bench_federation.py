@@ -39,6 +39,7 @@ import pytest
 from repro.appsys.datagen import generate_enterprise_data
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
+from repro.fdbs.config import EngineConfig
 
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_federation.json"
 
@@ -60,7 +61,10 @@ def shared_sql(nickname: str, column: str) -> str:
 def build_workload(optimizer: str, data):
     """A fresh heterogeneous scenario with the watch table, stats hot."""
     scenario = build_scenario(
-        Architecture.WFMS, data=data, optimizer=optimizer, heterogeneous=True
+        Architecture.WFMS,
+        data=data,
+        config=EngineConfig(optimizer=optimizer),
+        heterogeneous=True,
     )
     fdbs = scenario.server.fdbs
     fdbs.execute(

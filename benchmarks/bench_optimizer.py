@@ -51,6 +51,7 @@ import pytest
 
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
+from repro.fdbs.config import EngineConfig
 from repro.fdbs.engine import Database
 from repro.fdbs.federation import DatabaseEndpoint
 from repro.sysmodel.machine import Machine
@@ -101,7 +102,9 @@ def build_remote_workload(optimizer: str, n_remote: int, n_watch: int):
 
 def build_udtf_workload(optimizer: str, n_watch: int):
     """Scenario FDBS (fenced runtime) + skewed watch table, hot."""
-    scenario = build_scenario(Architecture.WFMS, optimizer=optimizer)
+    scenario = build_scenario(
+        Architecture.WFMS, config=EngineConfig(optimizer=optimizer)
+    )
     fdbs = scenario.server.fdbs
     fdbs.execute("CREATE TABLE watch (pk INT PRIMARY KEY, supplier_no INT)")
     for index in range(n_watch):
@@ -149,7 +152,7 @@ def run_merge_join(n_rows: int = 100_000, repeats: int = 3) -> dict:
     db = build_merge_workload("cost", n_rows)
     walls = {}
     for strategy in ("hash", "merge"):
-        db.set_join_strategy(strategy)
+        db.reconfigure(join_strategy=strategy)
         db.execute(MERGE_COUNT_SQL)  # warm the statement cache + plan
         best = None
         for _ in range(repeats):
@@ -168,7 +171,7 @@ def run_merge_join(n_rows: int = 100_000, repeats: int = 3) -> dict:
     sample_db = build_merge_workload("cost", sample_rows)
     rows_identical = True
     for strategy in ("hash", "merge", "indexnlj", "nlj"):
-        sample_db.set_join_strategy(strategy)
+        sample_db.reconfigure(join_strategy=strategy)
         if sample_db.execute(MERGE_SAMPLE_SQL).rows != baseline:
             rows_identical = False
     return {

@@ -107,9 +107,9 @@ def time_zone_maps(db: Database, query: str) -> dict:
     Chunk counters are the delta around the single timed execution with
     zone maps on, so they describe exactly one query.
     """
-    db.set_zone_maps(False)
+    db.reconfigure(zone_maps=False)
     off_seconds, off_rows = time_query(db, query)
-    db.set_zone_maps(True)
+    db.reconfigure(zone_maps=True)
     db.execute(query)  # warm the sealed-chunk cache
     before = db.columnar_stats()
     start = time.perf_counter()

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Perf smoke: tier-1 tests plus the wall-clock executor microbenchmark
-# at a reduced row count, the coupling pooling/caching ablation, and a
-# reduced concurrent-serving run (throughput + parity at 1/4/8 workers).
+# at a reduced row count, the coupling pooling/caching ablation, a
+# reduced concurrent-serving run (throughput + parity at 1/4/8 workers),
+# and the federation and pushdown-ablation benches (both set engine
+# config switches, so a stale keyword fails here).
 # Intended for CI — fast enough to run on every change, still catches
 # executor regressions an order of magnitude deep.
 #
@@ -84,3 +86,12 @@ assert all(r["throughput_calls_per_s"] > 0 for r in summary["runs"])
 print("OK: concurrency parity holds at", len(summary["runs"]),
       "worker counts")
 EOF
+
+echo "== heterogeneous federation bench (optimizer config) =="
+# Run as a script into a scratch file: the pytest entry point rewrites
+# the tracked BENCH_federation.json.
+python benchmarks/bench_federation.py --out "$(mktemp)" > /dev/null
+
+echo "== pushdown ablation bench (pushdown config) =="
+# Not perf-marked, so the default marker selection already collects it.
+python -m pytest -q benchmarks/bench_ablation_pushdown.py --benchmark-disable

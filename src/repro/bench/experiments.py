@@ -29,6 +29,7 @@ from repro.core.compile_sql_udtf import compile_simple_select, compile_sql_udtf
 from repro.core.compile_workflow import compile_workflow
 from repro.core.scenario import Scenario, build_scenario, scenario_functions
 from repro.errors import UnsupportedMappingError
+from repro.fdbs.config import EngineConfig
 from repro.simtime.trace import TraceRecorder
 from repro.wfms.programs import ProgramRegistry
 
@@ -615,8 +616,7 @@ def exp_coupling_ablation(
             scenario = build_scenario(
                 architecture,
                 data=shared,
-                pooling=pooling,
-                result_cache=cache_on,
+                config=EngineConfig(pooling=pooling, result_cache=cache_on),
             )
             server = scenario.server
             server.call(FIG6_FUNCTION, *args)  # cold call outside the window
@@ -802,7 +802,9 @@ def exp_fault_recovery(
         # Pooling on: warm fenced processes give the UDTF path its
         # graceful-degradation chance (a dead warm slot is evicted and
         # retried cold once before the statement aborts).
-        scenario = build_scenario(architecture, data=shared, pooling=True)
+        scenario = build_scenario(
+            architecture, data=shared, config=EngineConfig(pooling=True)
+        )
         server = scenario.server
         baseline_rows = server.call(FIG6_FUNCTION, *args)  # cold
         _, fault_free = server.elapsed(server.call, FIG6_FUNCTION, *args)

@@ -40,6 +40,7 @@ from repro.core.mapping import (
     OutputSpec,
 )
 from repro.core.server import IntegrationServer
+from repro.fdbs.config import EngineConfig
 from repro.fdbs.federation import (
     ARCHIVE_PROFILE,
     CACHE_FRONTED_PROFILE,
@@ -366,24 +367,17 @@ def build_scenario(
     controller_enabled: bool = True,
     data: EnterpriseData | None = None,
     jitter: JitterSource | None = None,
-    pooling: bool = False,
-    result_cache: bool = False,
     faults: dict | None = None,
-    optimizer: str = "syntactic",
-    chunk_size: int | None = None,
+    config: EngineConfig | None = None,
     heterogeneous: bool = False,
 ) -> Scenario:
     """Stand up an integration server and deploy every federated
     function the architecture supports; unsupported ones (the cyclic
     case outside WfMS/procedural) are recorded in ``skipped``.
-    ``pooling``/``result_cache`` switch on the integration server's warm
-    runtime pool and memoizing result cache (both off by default);
     ``faults`` is forwarded to
     :meth:`~repro.core.server.IntegrationServer.configure_faults`;
-    ``optimizer`` selects the FDBS planning mode (``"syntactic"`` or
-    ``"cost"``); ``chunk_size`` overrides the FDBS rows-per-chunk knob
-    (zone-map granularity and batch size); ``heterogeneous`` additionally
-    federates the three heterogeneous source profiles (see
+    ``config`` sets the FDBS engine switches; ``heterogeneous``
+    additionally federates the three heterogeneous source profiles (see
     :func:`attach_heterogeneous_sources`)."""
     server = IntegrationServer(
         architecture,
@@ -391,10 +385,7 @@ def build_scenario(
         controller_enabled=controller_enabled,
         data=data if data is not None else generate_enterprise_data(),
         jitter=jitter,
-        pooling=pooling,
-        result_cache=result_cache,
-        optimizer=optimizer,
-        chunk_size=chunk_size,
+        config=config,
     )
     if faults:
         server.configure_faults(**faults)

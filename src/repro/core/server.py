@@ -24,6 +24,7 @@ from repro.core.compile_sql_udtf import compile_simple_select, compile_sql_udtf
 from repro.core.compile_workflow import compile_workflow, program_id
 from repro.core.federated_function import FederatedFunction
 from repro.errors import MappingError
+from repro.fdbs.config import EngineConfig
 from repro.fdbs.engine import Database
 from repro.simtime.costs import CostModel
 from repro.simtime.rng import JitterSource
@@ -50,20 +51,13 @@ class IntegrationServer:
         data: EnterpriseData | None = None,
         jitter: JitterSource | None = None,
         system_factories: list[Callable[[Machine], ApplicationSystem]] | None = None,
-        pooling: bool = False,
-        result_cache: bool = False,
-        optimizer: str = "syntactic",
-        chunk_size: int | None = None,
+        config: EngineConfig | None = None,
     ):
         """``system_factories`` replaces the paper's three application
         systems with custom ones (each factory receives the machine);
-        when omitted, the purchasing-scenario trio is built.  ``pooling``
-        and ``result_cache`` switch on the warm runtime pool / memoizing
-        result cache (both off by default: the paper's measured
-        configuration).  ``optimizer`` selects the FDBS planning mode
-        (``"syntactic"`` or the RUNSTATS-fed ``"cost"``); ``chunk_size``
-        overrides the FDBS rows-per-chunk knob (zone-map granularity and
-        batch size)."""
+        when omitted, the purchasing-scenario trio is built.  ``config``
+        sets the FDBS engine switches (default: the paper's measured
+        configuration)."""
         self.architecture = architecture
         self.machine = Machine(
             costs=costs, controller_enabled=controller_enabled, jitter=jitter
@@ -86,14 +80,7 @@ class IntegrationServer:
         }
 
         # Middle tier: FDBS with the fenced runtime.
-        self.fdbs = Database(
-            "integration-fdbs",
-            machine=self.machine,
-            pooling=pooling,
-            result_cache=result_cache,
-            optimizer=optimizer,
-            chunk_size=chunk_size,
-        )
+        self.fdbs = Database("integration-fdbs", machine=self.machine, config=config)
         self.fdbs.function_runtime = FencedFunctionRuntime(self.fdbs, self.machine)
 
         # WfMS side: program registry + client + wrapper.

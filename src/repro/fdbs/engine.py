@@ -16,6 +16,7 @@ costs.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.errors import (
@@ -49,6 +50,7 @@ from repro.fdbs.catalog import (
     TableFunction,
     WrapperDef,
 )
+from repro.fdbs.config import EngineConfig
 from repro.fdbs.executor import Plan
 from repro.fdbs.expr import (
     ColumnSlot,
@@ -63,13 +65,7 @@ from repro.fdbs.parser import parse_statement
 from repro.fdbs.planner import Planner
 from repro.fdbs.procedures import ProcedureInterpreter
 from repro.fdbs.session import Result, StatementCache
-from repro.fdbs.storage import (
-    DEFAULT_CHUNK_SIZE,
-    Snapshot,
-    Table,
-    TableVersion,
-    UndoLog,
-)
+from repro.fdbs.storage import Snapshot, Table, TableVersion, UndoLog
 from repro.fdbs.types import coerce_into
 from repro.simtime.trace import TraceRecorder
 
@@ -78,15 +74,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _MAX_FUNCTION_DEPTH = 32
 
-
-def check_execution_mode(mode: str) -> str:
-    """Return ``mode`` unchanged, or raise unless it is ``"row"`` or
-    ``"batch"`` (the two executor protocols a SELECT can run through)."""
-    if mode not in ("row", "batch"):
-        raise ExecutionError(
-            f"unknown execution mode {mode!r}; expected 'row' or 'batch'"
-        )
-    return mode
+#: Cardinality feedback: q-errors at or above this threshold recorded by
+#: EXPLAIN ANALYZE override the table's planning cardinality and bump
+#: the stats epoch (invalidating cached plans).
+FEEDBACK_THRESHOLD = 2.0
 
 
 class _EngineLocal(threading.local):
@@ -148,17 +139,21 @@ class FunctionRuntime:
 
 
 class Database:
-    """One database instance with its catalog, storage and runtimes."""
+    """One database instance with its catalog, storage and runtimes.
+
+    ``config`` holds every engine switch (default: the paper's measured
+    configuration); keyword ``overrides`` name :class:`EngineConfig`
+    fields and are applied on top of it, so
+    ``Database("d", optimizer="cost")`` is shorthand for
+    ``Database("d", config=EngineConfig(optimizer="cost"))``.
+    """
 
     def __init__(
         self,
         name: str = "FDBS",
         machine: "Machine | None" = None,
-        execution_mode: str = "row",
-        pooling: bool = False,
-        result_cache: bool = False,
-        optimizer: str = "syntactic",
-        chunk_size: int | None = None,
+        config: EngineConfig | None = None,
+        **overrides,
     ):
         self.name = name
         self.machine = machine
@@ -168,43 +163,16 @@ class Database:
         if machine is not None:
             # The machine-attached database is the integration FDBS: its
             # execution mode namespaces the machine-level result cache.
-            machine.execution_mode_provider = lambda: self.execution_mode
+            machine.execution_mode_provider = lambda: self.config.execution_mode
             machine.extra_stats_providers["mvcc"] = lambda: self.mvcc_stats()
             machine.extra_stats_providers["columnar"] = lambda: self.columnar_stats()
             machine.extra_stats_providers["joins"] = lambda: self.join_stats()
-            if pooling or result_cache:
-                machine.configure_runtime(
-                    pooling=pooling, result_cache=result_cache
-                )
-        #: "row" (Volcano) or "batch" (vectorized chunks + hash joins).
-        self.execution_mode = "row"
-        self.set_execution_mode(execution_mode)
-        #: Rows per storage chunk (zone-map granularity, every mode) and
-        #: per execution batch (batch mode).
-        self.chunk_size = DEFAULT_CHUNK_SIZE
-        if chunk_size is not None:
-            self.set_chunk_size(chunk_size)
-        #: Zone-map pruning toggle (False for the pruning ablation).
-        self.zone_maps_enabled = True
+        self.config = EngineConfig()
+        self._apply_config(
+            replace(self.config if config is None else config, **overrides)
+        )
         self._chunk_lock = threading.Lock()
         self._chunk_counters = {"chunks_scanned": 0, "chunks_pruned": 0}
-        #: "syntactic" (FROM order as written — the default, and exactly
-        #: the pre-optimizer behaviour) or "cost" (RUNSTATS-fed join
-        #: reordering and bind joins; see repro.fdbs.optimizer).
-        self.optimizer = "syntactic"
-        self.set_optimizer(optimizer)
-        #: Local join-strategy selection under the cost optimizer:
-        #: "auto" prices nlj/hash/merge/indexnlj per join, a named
-        #: strategy forces that operator wherever types permit.
-        self.join_strategy = "auto"
-        #: Mid-query escape hatch: when set, cost-rejected remote bind
-        #: joins probe the build side with COUNT(*) and fall back to a
-        #: bind join when it exceeds the estimate by this factor.
-        self.adaptive_blowup_factor: float | None = None
-        #: Cardinality feedback: q-errors above this threshold recorded
-        #: by EXPLAIN ANALYZE override the table's planning cardinality
-        #: and bump the stats epoch (invalidating cached plans).
-        self.feedback_threshold = 2.0
         self._join_lock = threading.Lock()
         self._joins = {
             "joins_hash": 0,
@@ -237,11 +205,6 @@ class Database:
         }
         self._stats_lock = threading.Lock()
         self.statements_executed = 0
-        #: Predicate pushdown to remote SQL sources (set False for the
-        #: ablation bench; see repro.fdbs.pushdown).
-        self.pushdown_enabled = True
-        #: Index selection for equality conjuncts on base tables.
-        self.index_selection_enabled = True
         #: Access control (the paper's Sect. 6 future-work item).
         self.authorization = AuthorizationManager()
         self.current_user = SUPERUSER
@@ -295,42 +258,37 @@ class Database:
     # Public API
     # ------------------------------------------------------------------
 
-    def set_execution_mode(self, mode: str) -> None:
-        """Switch between ``"row"`` and ``"batch"``.
+    def reconfigure(self, **changes) -> EngineConfig:
+        """Replace the named :class:`EngineConfig` fields; returns the
+        new config.
 
-        Cached statement plans are mode-specific, so the statement cache
-        is keyed per mode (see :meth:`_parse_cached`); switching modes
-        never invalidates the other mode's entries.
+        Every switch takes effect on the next statement: SELECT plans
+        are rebuilt per execution (the statement cache holds parsed
+        ASTs only, never plans) and function bodies always plan row-
+        at-a-time and syntactically.  A new ``chunk_size`` reaches
+        every table's storage, whose zone maps rebuild lazily on the
+        next checked scan; ``pooling``/``result_cache`` switch the
+        machine's warm pool and result cache.
         """
-        self.execution_mode = check_execution_mode(mode)
+        self._apply_config(replace(self.config, **changes))
+        return self.config
 
-    def set_chunk_size(self, size: int) -> None:
-        """Set the rows-per-chunk knob for zone maps and batch execution.
-
-        Applies to new scans immediately: storage zone maps are keyed by
-        the chunk size that sealed them, so a change triggers a lazy
-        rebuild on the next zone-map-checked scan of each table.
-        """
-        if isinstance(size, bool) or not isinstance(size, int):
-            raise ExecutionError("chunk size must be an integer")
-        if not 1 <= size <= 1_048_576:
-            raise ExecutionError(
-                f"chunk size {size} out of range (1..1048576)"
+    def _apply_config(self, config: EngineConfig) -> None:
+        """Install ``config`` and push its two stateful side effects."""
+        old = self.config
+        runtime = (config.pooling, config.result_cache)
+        if runtime != (old.pooling, old.result_cache):
+            if self.machine is None:
+                raise ExecutionError(
+                    "runtime pooling needs a machine-attached database"
+                )
+            self.machine.configure_runtime(
+                pooling=config.pooling, result_cache=config.result_cache
             )
-        self.chunk_size = size
+        self.config = config
         for table_def in self.catalog.tables():
             if table_def.storage is not None:
-                table_def.storage.chunk_size = size
-
-    def set_zone_maps(self, enabled: bool) -> None:
-        """Enable/disable zone-map chunk pruning (every execution mode).
-
-        Pruning is a pure superset skip, so toggling it never changes
-        query results — only ``chunks_scanned``/``chunks_pruned`` and
-        wall-clock time.  With pruning off, scans read the table heap
-        directly and count no chunks.
-        """
-        self.zone_maps_enabled = bool(enabled)
+                table_def.storage.chunk_size = config.chunk_size
 
     def _note_chunks(self, scanned: int, pruned: int) -> None:
         """Accumulate per-scan chunk counters (wired into every table
@@ -356,52 +314,8 @@ class Database:
                 sealed += storage.chunks_sealed
         counters["zone_map_rebuilds"] = rebuilds
         counters["chunks_sealed"] = sealed
-        counters["zone_maps_enabled"] = int(self.zone_maps_enabled)
+        counters["zone_maps_enabled"] = int(self.config.zone_maps)
         return counters
-
-    def set_optimizer(self, mode: str) -> None:
-        """Switch between ``"syntactic"`` and ``"cost"`` planning.
-
-        No plan invalidation is needed: SELECT plans are rebuilt on every
-        execution (the statement cache holds parsed ASTs only) and
-        function bodies always plan syntactically.
-        """
-        if mode not in ("syntactic", "cost"):
-            raise ExecutionError(
-                f"unknown optimizer mode {mode!r}; expected 'syntactic' or 'cost'"
-            )
-        self.optimizer = mode
-
-    def set_join_strategy(self, strategy: str) -> None:
-        """Force one local join strategy under the cost optimizer, or
-        restore ``"auto"`` cost-based selection.
-
-        A forced strategy applies wherever the join's key types permit
-        it (e.g. ``indexnlj`` needs numeric keys); incompatible joins
-        keep the syntactic fold.  Every strategy produces bit-identical
-        rows — the switch exists for ablation benches and parity tests.
-        """
-        from repro.fdbs.optimizer import JOIN_STRATEGIES
-
-        if strategy not in JOIN_STRATEGIES:
-            expected = ", ".join(repr(name) for name in JOIN_STRATEGIES)
-            raise ExecutionError(
-                f"unknown join strategy {strategy!r}; expected one of {expected}"
-            )
-        self.join_strategy = strategy
-
-    def set_adaptive_join(self, factor: float | None) -> None:
-        """Configure the mid-query bind-join escape hatch.
-
-        ``factor`` is the build-side blowup (observed / estimated) past
-        which a cost-rejected remote join abandons its planned ship-all
-        fetch mid-query; ``None`` disables the probe entirely.
-        """
-        if factor is not None and factor <= 1.0:
-            raise ExecutionError(
-                "adaptive join factor must exceed 1.0 (or be None to disable)"
-            )
-        self.adaptive_blowup_factor = factor
 
     def _note_join(self, strategy: str) -> None:
         """Count one built join operator (wired into the planner)."""
@@ -465,32 +379,13 @@ class Database:
             raise PlanError("EXPLAIN supports SELECT statements only")
         snapshot = self.pin_snapshot()
         plan = self._planner().plan_select(statement)
-        if self.optimizer == "cost":
+        if self.config.optimizer == "cost":
             from repro.fdbs.optimizer import propagate_estimates
 
             propagate_estimates(plan)
         header = self._runtime_header() + [f"Snapshot(epoch={snapshot.epoch})"]
-        text = plan.explain(mode=self.execution_mode)
+        text = plan.explain(mode=self.config.execution_mode)
         return "\n".join(header + [text])
-
-    def configure_runtime(
-        self,
-        pooling: bool | None = None,
-        result_cache: bool | None = None,
-        pool_capacity: int | None = None,
-        cache_capacity: int | None = None,
-    ) -> None:
-        """Switch the machine's warm pool / result cache on or off."""
-        if self.machine is None:
-            raise ExecutionError(
-                "runtime pooling needs a machine-attached database"
-            )
-        self.machine.configure_runtime(
-            pooling=pooling,
-            result_cache=result_cache,
-            pool_capacity=pool_capacity,
-            cache_capacity=cache_capacity,
-        )
 
     def configure_faults(self, **kwargs) -> None:
         """Configure the machine's fault-injection harness (see
@@ -591,23 +486,19 @@ class Database:
     # ------------------------------------------------------------------
 
     def _parse_cached(self, sql: str) -> ast.Statement:
-        # Namespaced per execution mode: planner rewrites annotate the
-        # AST in mode-specific ways, so row and batch executions never
-        # share an entry.  The namespace additionally folds in the
-        # catalog's DDL epoch, so a statement compiled and validated
+        # The cached AST is shared by every engine config: the planner
+        # only ever rewrites clones of it (pushdown and index selection
+        # splice copied conjuncts), so row and batch, syntactic and cost
+        # executions all read the same entry.  The namespace folds in
+        # the catalog's DDL epoch, so a statement compiled and validated
         # against one schema generation can never be replayed after a
         # concurrent CREATE/DROP changed the catalog underneath it —
         # the entry simply misses and the statement recompiles against
         # the schema its fresh snapshot will actually read.  The stats
         # epoch folds in the same way: RUNSTATS or recorded cardinality
         # feedback bumps it, invalidating every cached statement so the
-        # next execution replans against the corrected estimates.  The
-        # *warmth* key stays mode-independent — the simulated
-        # plan-compile charge is identical in both modes.
-        namespace = (
-            f"{self.execution_mode}@{self.catalog.ddl_epoch}"
-            f".{self.catalog.stats_epoch}"
-        )
+        # next execution replans against the corrected estimates.
+        namespace = f"{self.catalog.ddl_epoch}.{self.catalog.stats_epoch}"
         cached = self.statement_cache.get(sql, namespace=namespace)
         if cached is not None:
             return cached  # type: ignore[return-value]
@@ -737,7 +628,7 @@ class Database:
         estimates; ANALYZE also executes the plan (row pipeline) and
         reports the actual row count per operator."""
         plan = self._planner().plan_select(statement.query)
-        if self.optimizer == "cost":
+        if self.config.optimizer == "cost":
             from repro.fdbs.optimizer import propagate_estimates
 
             propagate_estimates(plan)
@@ -751,11 +642,11 @@ class Database:
                 self.machine.clock.advance(
                     self.machine.costs.fdbs_row_cost * len(rows)
                 )
-            if self.optimizer == "cost":
+            if self.config.optimizer == "cost":
                 self._ingest_feedback(plan)
         # ANALYZE executes the row pipeline whatever the session mode,
         # so its header names the pipeline that actually ran.
-        mode = "row" if statement.analyze else self.execution_mode
+        mode = "row" if statement.analyze else self.config.execution_mode
         lines = (
             self._runtime_header()
             + [f"Snapshot(epoch={snapshot.epoch})"]
@@ -788,7 +679,7 @@ class Database:
                 pct = int(round(error * 100))
                 if pct > self._joins["max_q_error_pct"]:
                     self._joins["max_q_error_pct"] = pct
-            if error < self.feedback_threshold:
+            if error < FEEDBACK_THRESHOLD:
                 continue
             before = self.catalog.stats_epoch
             after = self.catalog.record_feedback(
@@ -874,30 +765,21 @@ class Database:
     # ------------------------------------------------------------------
 
     def _planner(
-        self,
-        params: ParamScope | None = None,
-        execution_mode: str | None = None,
-        optimizer: str | None = None,
+        self, params: ParamScope | None = None, config: EngineConfig | None = None
     ) -> Planner:
         machine = self.machine
         return Planner(
             self.catalog,
             invoker=self._invoke_table_function,
+            config=config or self.config,
             remote_fetcher=self.federation.fetcher_for,
             params=params,
             costs=machine.costs if machine is not None else None,
             charge=(machine.clock.advance if machine is not None else None),
-            enable_pushdown=self.pushdown_enabled,
             pushdown_counter=self.federation,
-            enable_index_selection=self.index_selection_enabled,
-            execution_mode=execution_mode or self.execution_mode,
-            optimizer=optimizer or self.optimizer,
             statistics=self.catalog.planning_statistics,
             batch_invoker=self._invoke_table_function_batch,
-            enable_zone_maps=self.zone_maps_enabled,
             chunk_note=self._note_chunks,
-            join_strategy=self.join_strategy,
-            adaptive_factor=self.adaptive_blowup_factor,
             join_counter=self._note_join,
             adaptive_note=self._note_midquery_fallback,
         )
@@ -979,11 +861,12 @@ class Database:
         trace: TraceRecorder | None,
         snapshot: Snapshot,
     ) -> Result:
-        plan = self._planner().plan_select(statement)
+        config = self.config
+        plan = self._planner(config=config).plan_select(statement)
         ctx = EvalContext(params=params, trace=trace, snapshot=snapshot)
-        if self.execution_mode == "batch":
+        if config.execution_mode == "batch":
             rows = [
-                row for chunk in plan.batches(ctx, self.chunk_size) for row in chunk
+                row for chunk in plan.batches(ctx, config.chunk_size) for row in chunk
             ]
         else:
             rows = list(plan.rows(ctx))
@@ -1043,7 +926,8 @@ class Database:
             # of the session's mode, and cached body plans must not
             # depend on statistics collected later.
             plan = self._planner(
-                scope, execution_mode="row", optimizer="syntactic"
+                scope,
+                replace(self.config, execution_mode="row", optimizer="syntactic"),
             ).plan_select(function.body)
             if len(plan.schema) != len(function.returns):
                 raise PlanError(
@@ -1117,7 +1001,7 @@ class Database:
             )
         table = TableDef(statement.name, columns, primary_key)
         table.storage = Table(
-            statement.name, columns, primary_key, chunk_size=self.chunk_size
+            statement.name, columns, primary_key, chunk_size=self.config.chunk_size
         )
         self.catalog.add_table(table)
         self._track_storage(table.storage)

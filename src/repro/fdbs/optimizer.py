@@ -77,10 +77,6 @@ class BindRemote:
     """Estimated matching remote rows per outer row (card / ndv)."""
 
 
-#: Local join strategies the cost model prices against each other.
-JOIN_STRATEGIES = ("auto", "hash", "merge", "indexnlj", "nlj")
-
-
 @dataclass
 class LocalJoin:
     """One local join-strategy decision for a comma-joined base table."""

@@ -23,6 +23,7 @@ from repro.errors import (
 )
 from repro.fdbs import ast
 from repro.fdbs.catalog import Catalog, ColumnDef, NicknameDef
+from repro.fdbs.config import EngineConfig
 from repro.fdbs.executor import (
     MAX_BIND_KEYS,
     AdaptiveRemoteJoinPlan,
@@ -78,61 +79,40 @@ class Planner:
         self,
         catalog: Catalog,
         invoker: FunctionInvoker,
+        config: EngineConfig = EngineConfig(),
         remote_fetcher: RemoteFetcher | None = None,
         params: ParamScope | None = None,
         costs: "object | None" = None,
         charge: Callable[[float], None] | None = None,
-        enable_pushdown: bool = True,
         pushdown_counter=None,
-        enable_index_selection: bool = True,
-        execution_mode: str = "row",
-        optimizer: str = "syntactic",
         statistics: "Callable[[str], object | None] | None" = None,
         batch_invoker=None,
-        enable_zone_maps: bool = True,
         chunk_note: Callable[[int, int], None] | None = None,
-        join_strategy: str = "auto",
-        adaptive_factor: float | None = None,
         join_counter: Callable[[str], None] | None = None,
         adaptive_note: Callable[[], None] | None = None,
     ):
         self.catalog = catalog
         self.invoker = invoker
+        #: The engine switches this plan honours: execution mode,
+        #: optimizer, join strategy, adaptive factor, zone maps,
+        #: pushdown and index selection.
+        self.config = config
         self.remote_fetcher = remote_fetcher
         self.params = params or ParamScope()
         #: Cost model + charge hook for composition overheads (None for
         #: cost-free databases, e.g. app-system internals).
         self.costs = costs
         self.charge = charge
-        #: Predicate pushdown to remote scans (the Database's setting).
-        self.enable_pushdown = enable_pushdown
         self.pushdown_counter = pushdown_counter
-        #: Index selection for local equality conjuncts.
-        self.enable_index_selection = enable_index_selection
-        #: "row" (Volcano, per-row dispatch) or "batch" (chunked
-        #: execution with vectorized expressions and hash equi-joins).
-        self.execution_mode = execution_mode
-        #: "syntactic" (FROM order as written) or "cost" (statistics-fed
-        #: join reordering and bind joins; see repro.fdbs.optimizer).
-        self.optimizer = optimizer
         #: RUNSTATS snapshot lookup: table name -> TableStats | None.
         self.statistics = statistics
         #: Batched table-function invoker for UDTF bind joins (the
         #: fenced runtime amortizes fixed per-call overheads).
         self.batch_invoker = batch_invoker
-        #: Zone-map chunk pruning for local scans in every execution
-        #: mode (ablation switch; disabled, scans read every row).
-        self.enable_zone_maps = enable_zone_maps
         #: Callback ``(chunks_scanned, chunks_pruned)`` wired into every
         #: table scan for the database's chunk runtime counters (scans
         #: with zone-map checks read chunks and report).
         self.chunk_note = chunk_note
-        #: Local join-strategy selection for cost-mode comma joins:
-        #: "auto" prices the repertoire, a named strategy forces it.
-        self.join_strategy = join_strategy
-        #: Mid-query escape hatch blowup factor (None disables the
-        #: adaptive COUNT(*) probe on rejected remote bind joins).
-        self.adaptive_factor = adaptive_factor
         #: Callback ``(strategy)`` counting built join operators into
         #: the database's runtime statistics.
         self.join_counter = join_counter
@@ -143,7 +123,7 @@ class Planner:
 
     def _batch(self, compiler: ExpressionCompiler, expr: ast.Expression) -> BatchFn | None:
         """Batch-compile ``expr`` when planning for batch execution."""
-        if self.execution_mode != "batch":
+        if self.config.execution_mode != "batch":
             return None
         return BatchCompiler(compiler).compile(expr)
 
@@ -173,7 +153,8 @@ class Planner:
 
     def _plan_query_block(self, select: ast.Select, top_level: bool = False) -> Plan:
         decisions = None
-        if self.optimizer == "cost":
+        config = self.config
+        if config.optimizer == "cost":
             from repro.fdbs.optimizer import plan_decisions
 
             decisions = plan_decisions(
@@ -186,8 +167,8 @@ class Planner:
                     if hasattr(self.pushdown_counter, "profile_for")
                     else None
                 ),
-                join_strategy=self.join_strategy,
-                adaptive_factor=self.adaptive_factor,
+                join_strategy=config.join_strategy,
+                adaptive_factor=config.adaptive_factor,
             )
         plan, layout, remote_candidates, local_scans, consumed, prunable = (
             self._plan_from(select, decisions)
@@ -210,18 +191,18 @@ class Planner:
                 ]
             )
         had_remote = bool(remote_candidates)
-        if self.enable_pushdown and remote_candidates:
+        if config.pushdown and remote_candidates:
             from repro.fdbs.pushdown import push_predicates
 
             where = push_predicates(where, remote_candidates, self.pushdown_counter)
-        if self.enable_index_selection and local_scans and where is not None:
+        if config.index_selection and local_scans and where is not None:
             where = self._select_indexes(where, layout, local_scans)
         if where is not None:
             self._attach_zone_checks(where, layout, prunable)
             input_est = plan.est_rows
             plan = FilterPlan(plan, compiler.compile(where), "Filter(WHERE)")
             plan.batch_predicate = self._batch(compiler, where)
-            if had_remote and self.enable_pushdown:
+            if had_remote and config.pushdown:
                 from repro.fdbs.pushdown import split_conjuncts
 
                 plan.residual_texts = [
@@ -241,8 +222,9 @@ class Planner:
         if select.having is not None and not needs_aggregate:
             raise PlanError("HAVING requires GROUP BY or aggregates")
 
+        order_by = select.order_by
         if needs_aggregate:
-            plan, layout, items, having = self._plan_aggregate(
+            plan, layout, items, having, order_by = self._plan_aggregate(
                 plan, layout, compiler, select, items
             )
             compiler = self._compiler(layout)
@@ -266,11 +248,13 @@ class Planner:
                 ColumnSlot(alias, self._output_name(item, position), compiled.type)
             )
 
-        if top_level and select.order_by:
-            plan = self._project_and_sort(plan, layout, exprs, schema, select, items)
+        if top_level and order_by:
+            plan = self._project_and_sort(
+                plan, layout, exprs, schema, select, items, order_by
+            )
         else:
             plan = ProjectPlan(plan, exprs, schema)
-            if self.execution_mode == "batch":
+            if self.config.execution_mode == "batch":
                 plan.batch_exprs = [
                     self._batch(compiler, item.expr) for item in items
                 ]
@@ -289,6 +273,7 @@ class Planner:
         schema: list[ColumnSlot],
         select: ast.Select,
         items: list[ast.SelectItem],
+        order_by: list[ast.OrderItem],
     ) -> Plan:
         """Projection + ORDER BY for a single query block.
 
@@ -296,6 +281,8 @@ class Planner:
         aliases, qualified projections) and fall back to the input
         layout as hidden trailing columns — which is how ``SELECT name
         FROM t ORDER BY relia`` works without projecting ``relia``.
+        ``order_by`` is the block's ORDER BY, already rewritten over the
+        aggregate's output columns when the block aggregates.
         """
         width = len(schema)
         output_layout = RowLayout(schema)
@@ -303,7 +290,7 @@ class Planner:
         keys: list[tuple] = []
         hidden: list[CompiledExpr] = []
         hidden_asts: list[ast.Expression] = []
-        for order_item in select.order_by:
+        for order_item in order_by:
             expr = order_item.expr
             if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
                 index = expr.value - 1
@@ -336,14 +323,14 @@ class Planner:
                 for index, compiled in enumerate(hidden)
             ]
             plan = ProjectPlan(plan, exprs + hidden, extended_schema)
-            if self.execution_mode == "batch":
+            if self.config.execution_mode == "batch":
                 plan.batch_exprs = [
                     self._batch(input_compiler, item.expr) for item in items
                 ] + [self._batch(input_compiler, expr) for expr in hidden_asts]
             plan = SortPlan(plan, keys)
             return CutPlan(plan, width, schema)
         plan = ProjectPlan(plan, exprs, schema)
-        if self.execution_mode == "batch":
+        if self.config.execution_mode == "batch":
             plan.batch_exprs = [
                 self._batch(input_compiler, item.expr) for item in items
             ]
@@ -426,7 +413,7 @@ class Planner:
         #: like ``d.x IS NULL``.  A duplicate alias poisons its entry
         #: (None) so no check can mis-bind.
         prunable: dict[str, TableScanPlan | None] | None = (
-            {} if self.enable_zone_maps else None
+            {} if self.config.zone_maps else None
         )
         items = select.from_items
         if decisions is not None:
@@ -479,7 +466,7 @@ class Planner:
                 bind_built is None
                 and local_built is None
                 and adaptive_spec is not None
-                and self.adaptive_factor is not None
+                and self.config.adaptive_factor is not None
                 and isinstance(item, ast.TableRef)
                 and self.catalog.has_nickname(item.name)
             ):
@@ -803,7 +790,7 @@ class Planner:
             spec.bind_column,
             remote_index,
             est_build=est_build,
-            blowup_factor=self.adaptive_factor,
+            blowup_factor=self.config.adaptive_factor,
             max_keys=max_keys,
             note=self.adaptive_note,
         )
@@ -980,7 +967,7 @@ class Planner:
         elif item.kind != "CROSS":
             raise PlanError(f"{item.kind} JOIN requires an ON condition")
         if (
-            self.execution_mode == "batch"
+            self.config.execution_mode == "batch"
             and item.on is not None
             and item.kind in ("INNER", "LEFT OUTER")
         ):
@@ -1263,7 +1250,7 @@ class Planner:
             ColumnSlot(None, f"$a{index}", None) for index in range(len(agg_specs))
         ]
         agg_plan = AggregatePlan(plan, group_compiled, agg_specs, post_schema)
-        if self.execution_mode == "batch" and select.group_by:
+        if self.config.execution_mode == "batch" and select.group_by:
             agg_plan.batch_group = [
                 self._batch(compiler, expr) for expr in select.group_by
             ]
@@ -1286,10 +1273,13 @@ class Planner:
         having = (
             _replace(select.having, replacement) if select.having is not None else None
         )
-        # ORDER BY items are rewritten in place for _plan_order_by to pick up.
-        for order_item in select.order_by:
-            order_item.expr = _replace(order_item.expr, replacement)
-        return agg_plan, post_layout, new_items, having
+        # Rewritten copies: the statement AST is shared through the
+        # statement cache and must never change under planning.
+        order_by = [
+            ast.OrderItem(_replace(item.expr, replacement), item.ascending)
+            for item in select.order_by
+        ]
+        return agg_plan, post_layout, new_items, having, order_by
 
     # -- ORDER BY ---------------------------------------------------------------------
 
@@ -1325,7 +1315,7 @@ class Planner:
                 for index, expr in enumerate(extra_exprs)
             ]
             plan = ProjectPlan(plan, identity + extra_exprs, extended_schema)
-            if self.execution_mode == "batch":
+            if self.config.execution_mode == "batch":
                 plan.batch_exprs = [
                     _slot_batch(index) for index in range(width)
                 ] + [self._batch(compiler, expr) for expr in extra_asts]

@@ -58,13 +58,14 @@ class Result:
 
 
 class StatementCache:
-    """Caches compiled plans by statement text.
+    """Caches parsed statements by statement text.
 
     Eviction is LRU with a configurable capacity; any DDL invalidates
     the whole cache (catalog objects may have changed shape).  Entries
-    may be *namespaced* (the engine namespaces by execution mode, so a
-    row-mode plan is never served to a batch-mode execution); hit, miss
-    and eviction counters are exposed through :meth:`stats`.
+    may be *namespaced* (the engine namespaces by the catalog's DDL and
+    stats epochs, so an entry never outlives the schema or statistics
+    it was validated against); hit, miss and eviction counters are
+    exposed through :meth:`stats`.
 
     Lookups, stores and the hit/miss/eviction counters are guarded by an
     internal lock: concurrent sessions sharing one FDBS must neither

@@ -22,6 +22,7 @@ from typing import IO
 
 from repro.bench.report import format_table
 from repro.errors import ReproError
+from repro.fdbs.config import EngineConfig
 from repro.fdbs.engine import Database
 from repro.fdbs.session import Result
 
@@ -132,23 +133,25 @@ class Shell:
                 self.execute("SELECT * FROM SYSCAT_STATS", stdout)
         elif name == ".optimizer":
             if len(parts) == 1:
-                stdout.write(f"optimizer is {self.database.optimizer}\n")
+                stdout.write(f"optimizer is {self.database.config.optimizer}\n")
             elif len(parts) == 2:
                 try:
-                    self.database.set_optimizer(parts[1].lower())
-                    stdout.write(f"optimizer is now {self.database.optimizer}\n")
+                    self.database.reconfigure(optimizer=parts[1].lower())
+                    stdout.write(
+                        f"optimizer is now {self.database.config.optimizer}\n"
+                    )
                 except ReproError as exc:
                     stdout.write(f"error: {exc}\n")
             else:
                 stdout.write("usage: .optimizer [syntactic|cost]\n")
         elif name == ".chunksize":
             if len(parts) == 1:
-                stdout.write(f"chunk size is {self.database.chunk_size}\n")
+                stdout.write(f"chunk size is {self.database.config.chunk_size}\n")
             elif len(parts) == 2:
                 try:
-                    self.database.set_chunk_size(int(parts[1]))
+                    self.database.reconfigure(chunk_size=int(parts[1]))
                     stdout.write(
-                        f"chunk size is now {self.database.chunk_size}\n"
+                        f"chunk size is now {self.database.config.chunk_size}\n"
                     )
                 except (ReproError, ValueError) as exc:
                     stdout.write(f"error: {exc}\n")
@@ -175,17 +178,20 @@ class Shell:
 
 
 def build_database(
-    scenario_name: str | None, heterogeneous: bool = False
+    scenario_name: str | None,
+    heterogeneous: bool = False,
+    config: EngineConfig | None = None,
 ) -> Database:
     """An empty database, or the paper scenario's integration FDBS.
 
     ``heterogeneous`` federates the three heterogeneous source profiles
     (web-API, archive, cache-fronted nicknames; see
     :func:`repro.core.scenario.attach_heterogeneous_sources`) so their
-    per-source counters show up under ``.stats``.
+    per-source counters show up under ``.stats``; ``config`` sets the
+    engine switches (``.optimizer``/``.chunksize`` change them later).
     """
     if scenario_name is None:
-        database = Database("shell")
+        database = Database("shell", config=config)
         if heterogeneous:
             from repro.core.scenario import attach_heterogeneous_sources
 
@@ -206,7 +212,9 @@ def build_database(
             f"unknown scenario {scenario_name!r}; pick one of "
             f"{', '.join(architectures)}"
         ) from None
-    return build_scenario(architecture, heterogeneous=heterogeneous).server.fdbs
+    return build_scenario(
+        architecture, heterogeneous=heterogeneous, config=config
+    ).server.fdbs
 
 
 def main(argv: list[str]) -> int:

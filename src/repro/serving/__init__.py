@@ -25,11 +25,12 @@ from repro.serving.router import ShardedIntegrationServer
 from repro.serving.server import (
     AdmissionController,
     ConcurrentIntegrationServer,
+    ServerSpec,
     SessionManager,
     WorkloadRunResult,
+    build_server,
 )
 from repro.serving.session import CallRecord, ClientSession
-from repro.serving.shard import ShardConfig
 from repro.serving.workload import (
     SessionScript,
     WorkloadCall,
@@ -44,11 +45,12 @@ __all__ = [
     "ConcurrentIntegrationServer",
     "ConsistentHashRing",
     "SessionManager",
+    "ServerSpec",
     "SessionScript",
-    "ShardConfig",
     "ShardedIntegrationServer",
     "WorkloadCall",
     "WorkloadRunResult",
+    "build_server",
     "make_workload",
     "supported_functions",
 ]

@@ -45,10 +45,10 @@ from multiprocessing.connection import wait as connection_wait
 
 from repro.appsys.datagen import EnterpriseData, generate_enterprise_data
 from repro.errors import ServingError, ShardCrashError, WireProtocolError
-from repro.fdbs.engine import check_execution_mode
+from repro.fdbs.config import EngineConfig
 from repro.serving.hashring import DEFAULT_REPLICAS, ConsistentHashRing
-from repro.serving.server import AdmissionController, WorkloadRunResult
-from repro.serving.shard import ShardConfig, shard_worker_main
+from repro.serving.server import AdmissionController, ServerSpec, WorkloadRunResult
+from repro.serving.shard import shard_worker_main
 from repro.serving.wire import (
     Hello,
     Pong,
@@ -86,6 +86,8 @@ class _ShardHandle:
         #: previous incarnation must never kill the current one.
         self.generation = 0
         self.death_cause: str | None = None
+        #: The engine config the worker reported booting with.
+        self.config: EngineConfig | None = None
         self.pending: dict[int, Future] = {}
 
 
@@ -105,30 +107,23 @@ class ShardedIntegrationServer:
         start_method: str | None = None,
         costs: CostModel | None = None,
         controller_enabled: bool = True,
-        pooling: bool = False,
-        result_cache: bool = False,
-        optimizer: str = "syntactic",
-        chunk_size: int | None = None,
+        config: EngineConfig | None = None,
         heterogeneous: bool = False,
-        execution_mode: str | None = None,
         rmi_wall_latency_s: float = 0.0,
         setup_sql: tuple[str, ...] = (),
     ):
+        """``config`` sets every shard server's engine switches; it and
+        the other server keywords form the :class:`ServerSpec` each
+        worker receives at start."""
         if shards < 1:
             raise ServingError(f"shards must be >= 1, got {shards!r}")
-        if execution_mode is not None:
-            check_execution_mode(execution_mode)
         self.shards = shards
-        self.config = ShardConfig(
+        self.spec = ServerSpec(
             data=data if data is not None else generate_enterprise_data(),
             costs=costs,
             controller_enabled=controller_enabled,
-            pooling=pooling,
-            result_cache=result_cache,
-            optimizer=optimizer,
-            chunk_size=chunk_size,
+            config=EngineConfig() if config is None else config,
             heterogeneous=heterogeneous,
-            execution_mode=execution_mode,
             rmi_wall_latency_s=rmi_wall_latency_s,
             setup_sql=tuple(setup_sql),
         )
@@ -162,7 +157,7 @@ class ShardedIntegrationServer:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=shard_worker_main,
-            args=(child_conn, handle.shard_id, self.config),
+            args=(child_conn, handle.shard_id, self.spec),
             name=f"shard-{handle.shard_id}",
             daemon=True,
         )
@@ -282,6 +277,7 @@ class ShardedIntegrationServer:
         if isinstance(message, Hello):
             handle.ready = True
             handle.pid = message.pid
+            handle.config = message.config
         elif isinstance(message, ScriptDone):
             with self._lock:
                 future = handle.pending.pop(message.request_id, None)
@@ -401,7 +397,8 @@ class ShardedIntegrationServer:
     # -- introspection & lifecycle ------------------------------------------
 
     def shard_stats(self) -> dict[int, dict]:
-        """Per-shard counters: pid, liveness, completions, respawns."""
+        """Per-shard counters: pid, liveness, completions, respawns, and
+        the engine config the worker reported at boot."""
         with self._lock:
             return {
                 shard_id: {
@@ -412,6 +409,7 @@ class ShardedIntegrationServer:
                     "pending": len(handle.pending),
                     "respawns": handle.respawns,
                     "death_cause": handle.death_cause,
+                    "config": handle.config,
                 }
                 for shard_id, handle in sorted(self._handles.items())
             }

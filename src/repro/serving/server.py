@@ -46,10 +46,65 @@ from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
 from repro.core.server import IntegrationServer
 from repro.errors import AdmissionError, ServingError
-from repro.fdbs.engine import check_execution_mode
+from repro.fdbs.config import EngineConfig
 from repro.serving.session import ClientSession, SessionSummary
 from repro.serving.workload import SessionScript
 from repro.simtime.costs import CostModel
+
+
+@dataclass(frozen=True)
+class ServerSpec:
+    """Everything needed to stand up one serving-side integration server.
+
+    Both serving modes build every server from one spec through
+    :func:`build_server` — the thread pool in-process, the process
+    router inside each worker.  The spec crosses the process boundary
+    once, at worker start, so every field must pickle: the enterprise
+    universe, the cost model and the frozen engine config all do.
+    ``setup_sql`` statements (DDL, loads, RUNSTATS) run on each fresh
+    server before its sessions; ``rmi_wall_latency_s`` attaches real
+    wall-clock seconds to every RMI hop (see
+    :meth:`~repro.sysmodel.machine.Machine.configure_wall_latency`).
+    """
+
+    data: EnterpriseData
+    costs: CostModel | None = None
+    controller_enabled: bool = True
+    config: EngineConfig = EngineConfig()
+    heterogeneous: bool = False
+    rmi_wall_latency_s: float = 0.0
+    setup_sql: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if not isinstance(self.config, EngineConfig):
+            raise TypeError(
+                f"config must be an EngineConfig, got {type(self.config).__name__}"
+            )
+
+
+def build_server(
+    spec: ServerSpec, architecture: Architecture, faults: dict | None = None
+) -> IntegrationServer:
+    """Stand up one integration server for ``architecture`` from ``spec``.
+
+    The engine config is in force from construction on, so
+    ``setup_sql`` already runs under the configured execution mode and
+    optimizer — exactly like a bare ``build_scenario(config=...)``
+    server the caller then loads by hand.
+    """
+    server = build_scenario(
+        architecture,
+        costs=spec.costs,
+        controller_enabled=spec.controller_enabled,
+        data=spec.data,
+        faults=faults,
+        config=spec.config,
+        heterogeneous=spec.heterogeneous,
+    ).server
+    server.machine.configure_wall_latency(spec.rmi_wall_latency_s)
+    for statement in spec.setup_sql:
+        server.fdbs.execute(statement)
+    return server
 
 
 class AdmissionController:
@@ -253,48 +308,36 @@ class ConcurrentIntegrationServer:
         max_sessions: int = 64,
         queue_limit: int | None = None,
         admission_policy: str = "block",
-        pooling: bool = False,
-        result_cache: bool = False,
         costs: CostModel | None = None,
         controller_enabled: bool = True,
         data: EnterpriseData | None = None,
-        optimizer: str = "syntactic",
+        config: EngineConfig | None = None,
         rmi_wall_latency_s: float = 0.0,
         heterogeneous: bool = False,
-        execution_mode: str | None = None,
         setup_sql: tuple[str, ...] = (),
     ):
+        """``config`` sets every server's engine switches; the other
+        keywords become the :class:`ServerSpec` all servers share."""
         if workers < 1:
             raise ServingError(f"workers must be >= 1, got {workers!r}")
         if mode not in self.MODES:
             raise ServingError(
                 f"mode must be one of {self.MODES}, got {mode!r}"
             )
-        if execution_mode is not None:
-            check_execution_mode(execution_mode)
         self.workers = workers
         self.mode = mode
-        self.pooling = pooling
-        self.result_cache = result_cache
-        self.costs = costs
-        self.controller_enabled = controller_enabled
-        self.optimizer = optimizer
-        #: Attach the three heterogeneous source profiles to every shard
-        #: (the battery-through-serving suite needs the nicknames).
-        self.heterogeneous = heterogeneous
-        #: Execution mode applied to every shard after setup (None keeps
-        #: the engine default); ``setup_sql`` statements run on each
-        #: fresh shard before its script — DDL, loads, RUNSTATS.
-        self.execution_mode = execution_mode
-        self.setup_sql = tuple(setup_sql)
-        #: Real wall-clock seconds per RMI hop (simulated time is never
-        #: touched); 0.0 keeps wall-clock behaviour identical to a
-        #: server without the knob.  See Machine.configure_wall_latency.
-        self.rmi_wall_latency_s = rmi_wall_latency_s
         # One read-only enterprise universe shared by every shard: each
         # application system copies it into its private database, so the
         # shared object is never mutated after generation.
-        self.data = data if data is not None else generate_enterprise_data()
+        self.spec = ServerSpec(
+            data=data if data is not None else generate_enterprise_data(),
+            costs=costs,
+            controller_enabled=controller_enabled,
+            config=EngineConfig() if config is None else config,
+            heterogeneous=heterogeneous,
+            rmi_wall_latency_s=rmi_wall_latency_s,
+            setup_sql=tuple(setup_sql),
+        )
         self.sessions = SessionManager(max_sessions=max_sessions)
         self.admission = AdmissionController(
             capacity=workers,
@@ -311,46 +354,12 @@ class ConcurrentIntegrationServer:
 
     # -- session plumbing ---------------------------------------------------
 
-    def _build_isolated_server(
-        self, architecture: Architecture, faults: dict | None
-    ) -> IntegrationServer:
-        scenario = build_scenario(
-            architecture,
-            costs=self.costs,
-            controller_enabled=self.controller_enabled,
-            data=self.data,
-            pooling=self.pooling,
-            result_cache=self.result_cache,
-            faults=faults,
-            optimizer=self.optimizer,
-            heterogeneous=self.heterogeneous,
-        )
-        self._prepare_server(scenario.server)
-        return scenario.server
-
-    def _prepare_server(self, server: IntegrationServer) -> None:
-        """Apply the serving-level knobs to a freshly built server."""
-        server.machine.configure_wall_latency(self.rmi_wall_latency_s)
-        for statement in self.setup_sql:
-            server.fdbs.execute(statement)
-        if self.execution_mode is not None:
-            server.fdbs.set_execution_mode(self.execution_mode)
-
     def _shared_server(self, architecture: Architecture) -> IntegrationServer:
         with self._shared_lock:
             if architecture not in self._shared_servers:
-                scenario = build_scenario(
-                    architecture,
-                    costs=self.costs,
-                    controller_enabled=self.controller_enabled,
-                    data=self.data,
-                    pooling=self.pooling,
-                    result_cache=self.result_cache,
-                    optimizer=self.optimizer,
-                    heterogeneous=self.heterogeneous,
+                self._shared_servers[architecture] = build_server(
+                    self.spec, architecture
                 )
-                self._prepare_server(scenario.server)
-                self._shared_servers[architecture] = scenario.server
             return self._shared_servers[architecture]
 
     def open_session(
@@ -368,7 +377,7 @@ class ConcurrentIntegrationServer:
         if self._closed:
             raise ServingError("server is shut down")
         if self.mode == "isolated":
-            server = self._build_isolated_server(architecture, faults)
+            server = build_server(self.spec, architecture, faults)
             session = ClientSession(
                 session_id, architecture, server, isolated=True
             )
@@ -520,6 +529,8 @@ class ConcurrentIntegrationServer:
 __all__ = [
     "AdmissionController",
     "ConcurrentIntegrationServer",
+    "ServerSpec",
     "SessionManager",
     "WorkloadRunResult",
+    "build_server",
 ]

@@ -33,6 +33,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.errors import WireProtocolError
+from repro.fdbs.config import EngineConfig
 from repro.serving.session import SessionSummary
 from repro.serving.workload import SessionScript
 
@@ -48,10 +49,15 @@ HEADER = struct.Struct(">4sBBxxII")
 
 @dataclass(frozen=True)
 class Hello:
-    """Worker -> router: the shard booted and is ready for frames."""
+    """Worker -> router: the shard booted and is ready for frames.
+
+    ``config`` echoes the engine config the worker builds its servers
+    with, so the router can show what actually crossed the fork.
+    """
 
     shard_id: int
     pid: int
+    config: EngineConfig | None = None
 
 
 @dataclass(frozen=True)

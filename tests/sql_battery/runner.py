@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
+from repro.fdbs.config import EngineConfig
 
 from .generator import BATTERY_DDL, BatteryQuery, battery_rows
 
@@ -54,7 +55,12 @@ def build_battery_scenario(
     cost-based pick.
     """
     scenario = build_scenario(
-        architecture, data=data, optimizer=optimizer, heterogeneous=True
+        architecture,
+        data=data,
+        config=EngineConfig(
+            execution_mode=mode, optimizer=optimizer, join_strategy=join_strategy
+        ),
+        heterogeneous=True,
     )
     fdbs = scenario.server.fdbs
     for ddl in BATTERY_DDL:
@@ -75,9 +81,6 @@ def build_battery_scenario(
         "cat_components",
     ):
         fdbs.execute(f"RUNSTATS ON TABLE {table}")
-    fdbs.set_execution_mode(mode)
-    if join_strategy != "auto":
-        fdbs.set_join_strategy(join_strategy)
     return scenario
 
 

@@ -12,7 +12,9 @@ import pytest
 
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
+from repro.fdbs.config import EngineConfig
 from repro.fdbs.engine import Database
+from repro.fdbs.storage import DEFAULT_CHUNK_SIZE
 from repro.sysmodel.machine import Machine
 
 ARCHITECTURES = [
@@ -41,7 +43,7 @@ LOCAL_QUERY = (
 
 def prepare(architecture, optimizer="syntactic", runstats=True):
     """A scenario FDBS with a local ``watch`` table over supplier numbers."""
-    scenario = build_scenario(architecture, optimizer=optimizer)
+    scenario = build_scenario(architecture, config=EngineConfig(optimizer=optimizer))
     fdbs = scenario.server.fdbs
     fdbs.execute("CREATE TABLE watch (pk INT PRIMARY KEY, supplier_no INT)")
     for pk, supplier_no in enumerate(WATCH_SUPPLIERS):
@@ -51,7 +53,7 @@ def prepare(architecture, optimizer="syntactic", runstats=True):
     return scenario
 
 
-def plain_db(mode, chunk_size=None):
+def plain_db(mode, chunk_size=DEFAULT_CHUNK_SIZE):
     """A database on its own machine with a small mixed-type table."""
     db = Database(
         "parity", machine=Machine(), execution_mode=mode, chunk_size=chunk_size
@@ -70,7 +72,7 @@ class TestScenarioParity:
         for mode in MODES:
             scenario = prepare(architecture, optimizer=optimizer)
             fdbs = scenario.server.fdbs
-            fdbs.set_execution_mode(mode)
+            fdbs.reconfigure(execution_mode=mode)
             fdbs.execute(FEDERATED_QUERY)  # same warm-up on every side
             rows, elapsed = scenario.server.elapsed(fdbs.execute, FEDERATED_QUERY)
             outcomes[mode] = (rows.rows, elapsed)
@@ -83,7 +85,7 @@ class TestScenarioParity:
         for mode in MODES:
             scenario = prepare(architecture)
             fdbs = scenario.server.fdbs
-            fdbs.set_execution_mode(mode)
+            fdbs.reconfigure(execution_mode=mode)
             fdbs.execute(LOCAL_QUERY)
             rows, elapsed = scenario.server.elapsed(fdbs.execute, LOCAL_QUERY)
             outcomes[mode] = (rows.rows, elapsed)
@@ -103,7 +105,7 @@ def timed(db, sql, **kwargs):
     return rows, clock.now - start
 
 
-def all_modes(rows, queries, chunk_size=None, mutate=None):
+def all_modes(rows, queries, chunk_size=DEFAULT_CHUNK_SIZE, mutate=None):
     """Execute ``queries`` in every mode (fresh db each) and compare
     rows and simulated times."""
     results = {}
@@ -199,12 +201,12 @@ class TestEdgeCases:
             db.execute(query)  # warm the statement cache
             with_maps = timed(db, query)
             assert db.columnar_stats()["chunks_pruned"] == 16
-            db.set_zone_maps(False)
+            db.reconfigure(zone_maps=False)
             without_maps = timed(db, query)
             # With pruning off the scan reads the heap and counts nothing.
             assert db.columnar_stats()["chunks_pruned"] == 16
             assert db.columnar_stats()["zone_maps_enabled"] == 0
-            db.set_zone_maps(True)
+            db.reconfigure(zone_maps=True)
             again = timed(db, query)
             assert without_maps == with_maps
             assert again == with_maps
@@ -230,9 +232,9 @@ class TestEdgeCases:
             db = plain_db(mode)
             for bad in (0, -5, True, "16", 2**21):
                 with pytest.raises(ExecutionError):
-                    db.set_chunk_size(bad)
-            db.set_chunk_size(16)
-            assert db.chunk_size == 16
+                    db.reconfigure(chunk_size=bad)
+            db.reconfigure(chunk_size=16)
+            assert db.config.chunk_size == 16
             assert db.catalog.get_table("t").storage.chunk_size == 16
 
 

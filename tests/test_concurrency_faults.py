@@ -19,6 +19,7 @@ import pytest
 
 from repro.appsys.datagen import generate_enterprise_data
 from repro.core.architectures import Architecture
+from repro.fdbs.config import EngineConfig
 from repro.serving.server import ConcurrentIntegrationServer
 from repro.serving.workload import SessionScript, WorkloadCall
 from repro.sysmodel.faults import (
@@ -186,7 +187,10 @@ class TestFaultIsolation:
         """The fenced-process death evicts the *faulty* session's pooled
         runtime, not the neighbor's."""
         with ConcurrentIntegrationServer(
-            workers=2, mode="isolated", data=data, pooling=True
+            workers=2,
+            mode="isolated",
+            data=data,
+            config=EngineConfig(pooling=True),
         ) as server:
             server.run_workload(
                 [

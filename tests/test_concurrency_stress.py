@@ -26,6 +26,7 @@ import pytest
 from repro.appsys.datagen import generate_enterprise_data
 from repro.core.architectures import Architecture
 from repro.errors import AdmissionError
+from repro.fdbs.config import EngineConfig
 from repro.serving.server import (
     AdmissionController,
     ConcurrentIntegrationServer,
@@ -46,7 +47,7 @@ def data():
 def run_mode(data, mode, workers, seed=SEED, sessions=8, calls=6):
     scripts = make_workload(seed=seed, sessions=sessions, calls_per_session=calls)
     with ConcurrentIntegrationServer(
-        workers=workers, mode=mode, data=data, pooling=True
+        workers=workers, mode=mode, data=data, config=EngineConfig(pooling=True)
     ) as server:
         result = server.run_workload(scripts, join_timeout=JOIN_TIMEOUT)
         stats = server.runtime_stats()
@@ -119,7 +120,10 @@ class TestSharedServerStress:
         scripts = make_workload(seed=SEED + 1, sessions=16, calls_per_session=8)
         expected_calls = sum(len(s.calls) for s in scripts)
         with ConcurrentIntegrationServer(
-            workers=8, mode="shared", data=data, pooling=True, result_cache=True
+            workers=8,
+            mode="shared",
+            data=data,
+            config=EngineConfig(pooling=True, result_cache=True),
         ) as server:
             result = server.run_workload(scripts, join_timeout=JOIN_TIMEOUT)
         assert result.calls == expected_calls

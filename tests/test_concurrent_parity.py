@@ -16,6 +16,7 @@ import pytest
 from repro.appsys.datagen import generate_enterprise_data
 from repro.core.scenario import build_scenario
 from repro.errors import StatementAbortedError
+from repro.fdbs.config import EngineConfig
 from repro.serving.server import ConcurrentIntegrationServer
 from repro.serving.workload import make_workload
 
@@ -23,19 +24,19 @@ SESSIONS = 6
 CALLS = 5
 
 
-def run_serving(data, scripts, workers):
+def run_serving(data, scripts, workers, config=None):
     """One serving-layer run; returns (row_sets, simulated_ms) by session."""
     with ConcurrentIntegrationServer(
-        workers=workers, mode="isolated", data=data
+        workers=workers, mode="isolated", data=data, config=config
     ) as server:
         result = server.run_workload(scripts)
     return result.row_sets, result.simulated_ms
 
 
-def drive_bare(data, script):
+def drive_bare(data, script, config=None):
     """The pre-serving path: a dedicated single-caller server, no
     session object, no pool, no admission control."""
-    server = build_scenario(script.architecture, data=data).server
+    server = build_scenario(script.architecture, data=data, config=config).server
     if script.faults:
         server.configure_faults(**script.faults)
     rows = []
@@ -91,6 +92,21 @@ def test_serving_layer_matches_bare_stack(data):
     rows_serving, sim_serving = run_serving(data, scripts, workers=1)
     for script in make_workload(seed=77, sessions=SESSIONS, calls_per_session=CALLS):
         rows_bare, sim_bare = drive_bare(data, script)
+        assert rows_serving[script.session_id] == rows_bare
+        assert sim_serving[script.session_id] == sim_bare
+
+
+def test_non_default_config_matches_bare_stack(data):
+    """A non-default engine config reaches every serving shard: rows and
+    simulated times stay bit-identical to bare servers built with the
+    same config."""
+    config = EngineConfig(
+        execution_mode="batch", optimizer="cost", chunk_size=7, join_strategy="merge"
+    )
+    scripts = make_workload(seed=77, sessions=SESSIONS, calls_per_session=CALLS)
+    rows_serving, sim_serving = run_serving(data, scripts, workers=2, config=config)
+    for script in make_workload(seed=77, sessions=SESSIONS, calls_per_session=CALLS):
+        rows_bare, sim_bare = drive_bare(data, script, config=config)
         assert rows_serving[script.session_id] == rows_bare
         assert sim_serving[script.session_id] == sim_bare
 

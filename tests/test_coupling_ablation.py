@@ -9,6 +9,7 @@ from repro.bench.experiments import (
 from repro.bench.harness import measure_hot
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
+from repro.fdbs.config import EngineConfig
 
 WFMS = Architecture.WFMS.value
 UDTF = Architecture.ENHANCED_SQL_UDTF.value
@@ -25,7 +26,9 @@ def test_flags_off_is_bit_identical(data):
     for architecture in (Architecture.WFMS, Architecture.ENHANCED_SQL_UDTF):
         default = build_scenario(architecture, data=data)
         ablated = build_scenario(
-            architecture, data=data, pooling=False, result_cache=False
+            architecture,
+            data=data,
+            config=EngineConfig(pooling=False, result_cache=False),
         )
         base = measure_hot(default, "GetNoSuppComp")
         off = measure_hot(ablated, "GetNoSuppComp")

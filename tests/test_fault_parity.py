@@ -14,6 +14,7 @@ import pytest
 from repro.bench.harness import call_args
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
+from repro.fdbs.config import EngineConfig
 from repro.sysmodel.faults import FAULT_SITES
 
 FUNCTIONS = ("GetNoSuppComp", "GetSuppQual")
@@ -36,9 +37,10 @@ def drive(server, function):
 )
 @pytest.mark.parametrize("pooling", [False, True])
 def test_zero_probability_faults_are_bit_identical(data, architecture, pooling):
-    baseline = build_scenario(architecture, data=data, pooling=pooling).server
+    config = EngineConfig(pooling=pooling)
+    baseline = build_scenario(architecture, data=data, config=config).server
 
-    armed = build_scenario(architecture, data=data, pooling=pooling).server
+    armed = build_scenario(architecture, data=data, config=config).server
     armed.configure_faults(
         enabled=True,
         seed=20020322,

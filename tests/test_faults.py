@@ -5,6 +5,7 @@ import pytest
 from repro.bench.harness import call_args
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
+from repro.fdbs.config import EngineConfig
 from repro.errors import (
     FencedProcessDiedError,
     RmiDroppedError,
@@ -254,7 +255,7 @@ class TestRmiChannelExceptionSafety:
 class TestFencedProcessFaults:
     def fenced_scenario(self, data):
         scenario = build_scenario(
-            Architecture.ENHANCED_SQL_UDTF, data=data, pooling=True
+            Architecture.ENHANCED_SQL_UDTF, data=data, config=EngineConfig(pooling=True)
         )
         return scenario, scenario.server
 

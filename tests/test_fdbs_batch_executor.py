@@ -8,6 +8,7 @@ StatementCache counters, and deterministic HashIndex lookups.
 import pytest
 
 from repro.errors import ExecutionError, PlanError
+from repro.fdbs.config import EngineConfig
 from repro.fdbs.engine import Database
 from repro.fdbs.session import StatementCache
 from repro.fdbs.storage import Table
@@ -28,8 +29,8 @@ class TestExecutionMode:
             Database("bad", execution_mode="vectorwise")
         db = Database("ok")
         with pytest.raises(ExecutionError):
-            db.set_execution_mode("vector")
-        assert db.execution_mode == "row"
+            db.reconfigure(execution_mode="vector")
+        assert db.config.execution_mode == "row"
 
     def test_columnar_mode_rejected_everywhere(self):
         from repro.serving import ConcurrentIntegrationServer, ShardedIntegrationServer
@@ -38,26 +39,27 @@ class TestExecutionMode:
             Database("bad", execution_mode="columnar")
         db = Database("ok", execution_mode="batch")
         with pytest.raises(ExecutionError, match="'row' or 'batch'"):
-            db.set_execution_mode("columnar")
-        assert db.execution_mode == "batch"
-        with pytest.raises(ExecutionError, match="'row' or 'batch'"):
-            ConcurrentIntegrationServer(execution_mode="columnar")
-        with pytest.raises(ExecutionError, match="'row' or 'batch'"):
-            ShardedIntegrationServer(execution_mode="columnar")
+            db.reconfigure(execution_mode="columnar")
+        assert db.config.execution_mode == "batch"
+        for server_class in (ConcurrentIntegrationServer, ShardedIntegrationServer):
+            with pytest.raises(ExecutionError, match="'row' or 'batch'"):
+                server_class(config=EngineConfig(execution_mode="columnar"))
 
     def test_set_execution_mode_switches(self):
         db = make_join_db("row")
-        db.set_execution_mode("batch")
-        assert db.execution_mode == "batch"
+        db.reconfigure(execution_mode="batch")
+        assert db.config.execution_mode == "batch"
         assert "HashJoin" in db.explain("SELECT * FROM l JOIN r ON a = b")
 
-    def test_statement_cache_is_namespaced_per_mode(self):
+    def test_statement_cache_is_shared_across_modes(self):
         db = make_join_db("row")
         db.execute("SELECT * FROM l")
         assert len(db.statement_cache) == 1  # DDL invalidated earlier entries
-        db.set_execution_mode("batch")
+        hits = db.statement_cache.stats()["hits"]
+        db.reconfigure(execution_mode="batch")
         db.execute("SELECT * FROM l")
-        assert len(db.statement_cache) == 2  # row entry not reused
+        assert len(db.statement_cache) == 1  # the row entry is reused
+        assert db.statement_cache.stats()["hits"] == hits + 1
 
 
 class TestExplainOutput:

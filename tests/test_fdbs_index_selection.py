@@ -32,7 +32,7 @@ def test_equality_literal_uses_index(db):
 def test_results_identical_with_and_without_index(db):
     sql = "SELECT k FROM t WHERE grp = 3 ORDER BY k"
     with_index = db.execute(sql).rows
-    db.index_selection_enabled = False
+    db.reconfigure(index_selection=False)
     without = db.execute(sql).rows
     assert with_index == without
     assert len(with_index) == 10

@@ -155,7 +155,7 @@ class TestEndToEnd:
         local, _ = make_pair()
         sql = "SELECT order_no FROM n AS o WHERE o.comp_no = 2 AND o.qty > 100 ORDER BY order_no"
         with_pd = local.execute(sql).rows
-        local.pushdown_enabled = False
+        local.reconfigure(pushdown=False)
         without_pd = local.execute(sql).rows
         assert with_pd == without_pd
         assert with_pd  # non-empty
@@ -192,7 +192,7 @@ class TestEndToEnd:
         on, _ = make_pair(machine_on, n_rows=200)
         machine_off = Machine()
         off, _ = make_pair(machine_off, n_rows=200)
-        off.pushdown_enabled = False
+        off.reconfigure(pushdown=False)
         sql = "SELECT o.order_no FROM n AS o WHERE o.comp_no = 0"
 
         def hot(db, machine):

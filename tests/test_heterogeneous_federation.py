@@ -8,6 +8,7 @@ import pytest
 from repro.appsys.datagen import generate_enterprise_data
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
+from repro.fdbs.config import EngineConfig
 from repro.fdbs.engine import Database
 from repro.fdbs.federation import (
     ARCHIVE_PROFILE,
@@ -29,7 +30,7 @@ def hetero():
     return build_scenario(
         Architecture.WFMS,
         data=generate_enterprise_data(),
-        optimizer="cost",
+        config=EngineConfig(optimizer="cost"),
         heterogeneous=True,
     )
 
@@ -171,7 +172,7 @@ class TestBindKeyGuard:
             )
         local.execute("RUNSTATS watch")
         local.execute("RUNSTATS n")
-        local.set_optimizer("cost")
+        local.reconfigure(optimizer="cost")
         # stale statistics: new distinct keys arrive after RUNSTATS
         for index in range(extra_distinct_keys):
             local.execute(
@@ -191,7 +192,7 @@ class TestBindKeyGuard:
         rows = local.execute(self.SQL).rows
         assert local.federation.bind_join_count == 1
         assert local.federation.bind_join_fallbacks == 0
-        local.set_optimizer("syntactic")
+        local.reconfigure(optimizer="syntactic")
         assert local.execute(self.SQL).rows == rows
 
     def test_one_past_cap_falls_back_to_ship_all(self):
@@ -200,7 +201,7 @@ class TestBindKeyGuard:
         rows = local.execute(self.SQL).rows
         assert local.federation.bind_join_count == 0
         assert local.federation.bind_join_fallbacks == 1
-        local.set_optimizer("syntactic")
+        local.reconfigure(optimizer="syntactic")
         assert local.execute(self.SQL).rows == rows
 
     def test_profile_cap_guards_at_fifty_keys(self, hetero):
@@ -238,7 +239,7 @@ class TestBindKeyGuard:
         rows = fdbs.execute(sql).rows
         assert layer.bind_join_count == binds
         assert layer.bind_join_fallbacks == fallbacks + 1
-        fdbs.set_optimizer("syntactic")
+        fdbs.reconfigure(optimizer="syntactic")
         assert fdbs.execute(sql).rows == rows
 
 

@@ -48,7 +48,7 @@ class TestStrategySweep:
         baseline = make_local_pair("syntactic", mode).execute(JOIN_SQL).rows
         assert baseline  # the sweep must exercise real matches
         db = make_local_pair("cost", mode)
-        db.set_join_strategy(strategy)
+        db.reconfigure(join_strategy=strategy)
         assert db.execute(JOIN_SQL).rows == baseline
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -56,7 +56,7 @@ class TestStrategySweep:
         def run(optimizer, strategy="auto"):
             machine = Machine()
             db = make_local_pair(optimizer, machine=machine)
-            db.set_join_strategy(strategy)
+            db.reconfigure(join_strategy=strategy)
             db.execute(JOIN_SQL)  # warm statement cache + plan compile
             start = machine.clock.now
             rows = db.execute(JOIN_SQL).rows
@@ -74,7 +74,7 @@ class TestStrategySweep:
             ("indexnlj", "join=indexnlj"),
         ):
             db = make_local_pair()
-            db.set_join_strategy(strategy)
+            db.reconfigure(join_strategy=strategy)
             assert token in db.explain(JOIN_SQL)
             # Counters track *built* operators, so EXPLAIN counts too.
             assert db.join_stats()[f"joins_{strategy}"] == 1
@@ -83,7 +83,7 @@ class TestStrategySweep:
 
     def test_forced_nlj_keeps_the_syntactic_fold(self):
         db = make_local_pair()
-        db.set_join_strategy("nlj")
+        db.reconfigure(join_strategy="nlj")
         text = db.explain(JOIN_SQL)
         assert "join=" not in text
         assert "CrossApply" in text
@@ -91,7 +91,7 @@ class TestStrategySweep:
     def test_unknown_strategy_rejected(self):
         db = Database("bad")
         with pytest.raises(ExecutionError):
-            db.set_join_strategy("loop")
+            db.reconfigure(join_strategy="loop")
 
     def test_stats_absent_keeps_syntactic_plan(self):
         db = make_local_pair(runstats=False)
@@ -103,7 +103,7 @@ class TestMergeJoin:
         # ``big.grp`` cycles 0..7 (unsorted); ``small.grp`` is inserted
         # ascending, so with small as the inner side the sort is skipped.
         db = make_local_pair()
-        db.set_join_strategy("merge")
+        db.reconfigure(join_strategy="merge")
         sql = (
             "SELECT b.id, s.name FROM small AS s, big AS b "
             "WHERE s.grp = b.grp ORDER BY b.id"
@@ -135,8 +135,8 @@ class TestMergeJoin:
         db = build("sorted")
         db.execute("RUNSTATS outer_t")
         db.execute("RUNSTATS inner_t")
-        db.set_optimizer("cost")
-        db.set_join_strategy("merge")
+        db.reconfigure(optimizer="cost")
+        db.reconfigure(join_strategy="merge")
         sql = (
             "SELECT o.k, i.tag FROM outer_t AS o, inner_t AS i "
             "WHERE o.k = i.k ORDER BY o.k"
@@ -270,8 +270,8 @@ class TestAdaptiveJoin:
     def test_factor_validation(self):
         db = Database("v")
         with pytest.raises(ExecutionError):
-            db.set_adaptive_join(0.5)
-        db.set_adaptive_join(None)  # disable is always legal
+            db.reconfigure(adaptive_factor=0.5)
+        db.reconfigure(adaptive_factor=None)  # disable is always legal
 
     def test_escape_hatch_fires_on_remote_blowup(self):
         local, remote = self.make_federated()
@@ -281,7 +281,7 @@ class TestAdaptiveJoin:
             remote.execute(
                 "INSERT INTO orders VALUES (?, ?)", params=[index, index % 5]
             )
-        local.set_adaptive_join(4.0)
+        local.reconfigure(adaptive_factor=4.0)
         assert "AdaptiveJoin(n" in local.explain(self.SQL)
         rows = local.execute(self.SQL).rows
         assert local.join_stats()["midquery_fallbacks"] == 1
@@ -296,7 +296,7 @@ class TestAdaptiveJoin:
         local, _ = self.make_federated()
         local.execute("RUNSTATS watch")
         local.execute("RUNSTATS n")
-        local.set_adaptive_join(4.0)
+        local.reconfigure(adaptive_factor=4.0)
         baseline, _ = self.make_federated("syntactic")
         assert local.execute(self.SQL).rows == baseline.execute(self.SQL).rows
         assert local.join_stats()["midquery_fallbacks"] == 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
+from repro.fdbs.config import EngineConfig
 
 ARCHITECTURES = [
     Architecture.WFMS,
@@ -24,7 +25,7 @@ QUERY = (
 
 def prepare(architecture, optimizer="syntactic", runstats=True):
     """A scenario FDBS with a local ``watch`` table over supplier numbers."""
-    scenario = build_scenario(architecture, optimizer=optimizer)
+    scenario = build_scenario(architecture, config=EngineConfig(optimizer=optimizer))
     fdbs = scenario.server.fdbs
     fdbs.execute(
         "CREATE TABLE watch (pk INT PRIMARY KEY, supplier_no INT)"
@@ -44,12 +45,12 @@ class TestRowParity:
     def test_rows_bit_identical(self, architecture, mode):
         scenario = prepare(architecture)
         fdbs = scenario.server.fdbs
-        fdbs.set_execution_mode(mode)
+        fdbs.reconfigure(execution_mode=mode)
         baseline = fdbs.execute(QUERY).rows
         assert len(baseline) == len(WATCH_SUPPLIERS)
-        fdbs.set_optimizer("cost")
+        fdbs.reconfigure(optimizer="cost")
         assert fdbs.execute(QUERY).rows == baseline
-        fdbs.set_optimizer("syntactic")
+        fdbs.reconfigure(optimizer="syntactic")
         assert fdbs.execute(QUERY).rows == baseline
 
     def test_cost_mode_uses_a_udtf_bind_join(self):

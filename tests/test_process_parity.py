@@ -21,6 +21,7 @@ from repro.appsys.datagen import generate_enterprise_data
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
 from repro.errors import StatementAbortedError
+from repro.fdbs.config import EngineConfig
 from repro.serving import ConcurrentIntegrationServer, ShardedIntegrationServer
 from repro.serving.workload import DEFAULT_ARCHITECTURES, make_workload
 
@@ -31,14 +32,23 @@ SESSIONS = 8  # two sessions per architecture (round-robin over all 4)
 CALLS = 4
 SHARD_COUNTS = (1, 2, 4)
 
+#: Every parity check runs under the default engine config and under a
+#: non-default one that must reach the workers intact.
+CONFIGS = {
+    "default": EngineConfig(),
+    "batch-cost-merge": EngineConfig(
+        execution_mode="batch", optimizer="cost", chunk_size=7, join_strategy="merge"
+    ),
+}
+
 
 def scripts():
     return make_workload(seed=SEED, sessions=SESSIONS, calls_per_session=CALLS)
 
 
-def drive_bare(data, script):
+def drive_bare(data, script, config):
     """The pre-serving path: one bare single-caller server per script."""
-    server = build_scenario(script.architecture, data=data).server
+    server = build_scenario(script.architecture, data=data, config=config).server
     if script.faults:
         server.configure_faults(**script.faults)
     rows, call_sims = [], []
@@ -63,24 +73,32 @@ def data():
     return generate_enterprise_data()
 
 
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def config(request):
+    return CONFIGS[request.param]
+
+
 @pytest.fixture(scope="module")
-def bare(data):
+def bare(data, config):
     """Bare-stack baseline, computed once: rows/per-call/total by session."""
     outcomes = {}
     for script in scripts():
-        outcomes[script.session_id] = drive_bare(data, script)
+        outcomes[script.session_id] = drive_bare(data, script, config)
     return outcomes
 
 
 @pytest.fixture(scope="module")
-def process_runs(data):
+def process_runs(data, config):
     """One sharded run per shard count over the identical workload."""
     runs = {}
     for shards in SHARD_COUNTS:
         with ShardedIntegrationServer(
-            shards=shards, data=data, queue_limit=SESSIONS
+            shards=shards, data=data, queue_limit=SESSIONS, config=config
         ) as server:
             runs[shards] = server.run_workload(scripts())
+            # Each worker reports the config it built its servers with.
+            for stats in server.shard_stats().values():
+                assert stats["config"] == config
     return runs
 
 
@@ -116,9 +134,9 @@ def test_shard_counts_bit_identical_to_each_other(process_runs):
         assert other.call_sim_ms == one.call_sim_ms
 
 
-def test_process_mode_matches_thread_mode(process_runs, data):
+def test_process_mode_matches_thread_mode(process_runs, data, config):
     """Thread pool and process shards are the same serving contract."""
-    with ConcurrentIntegrationServer(workers=2, data=data) as server:
+    with ConcurrentIntegrationServer(workers=2, data=data, config=config) as server:
         thread_result = server.run_workload(scripts())
     process_result = process_runs[2]
     assert process_result.row_sets == thread_result.row_sets

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
+from repro.fdbs.config import EngineConfig
 from repro.sysmodel.result_cache import ResultCache, normalize_args
 
 
@@ -140,9 +141,10 @@ class TestCacheUnit:
 def cached_server(request, data):
     """A UDTF-architecture server with the result cache on, per mode."""
     scenario = build_scenario(
-        Architecture.ENHANCED_SQL_UDTF, data=data, result_cache=True
+        Architecture.ENHANCED_SQL_UDTF,
+        data=data,
+        config=EngineConfig(result_cache=True, execution_mode=request.param),
     )
-    scenario.server.fdbs.set_execution_mode(request.param)
     return scenario.server
 
 
@@ -198,7 +200,7 @@ class TestFederatedPath:
         system forces re-execution with the fresh value."""
         scenario = build_scenario(
             Architecture.ENHANCED_SQL_UDTF, data=data,
-            pooling=True, result_cache=True,
+            config=EngineConfig(pooling=True, result_cache=True),
         )
         server = scenario.server
         clock = server.machine.clock

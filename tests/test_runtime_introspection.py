@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
+from repro.fdbs.config import EngineConfig
 from repro.errors import ExecutionError
 from repro.fdbs.engine import Database
 from repro.fdbs.shell import Shell
@@ -16,7 +17,7 @@ from repro.sysmodel.machine import Machine
 def pooled_scenario(data):
     scenario = build_scenario(
         Architecture.ENHANCED_SQL_UDTF, data=data,
-        pooling=True, result_cache=True,
+        config=EngineConfig(pooling=True, result_cache=True),
     )
     scenario.call("GetSuppQual", "ACME Industrial")
     # Different argument: the result cache misses but the pooled A-UDTF
@@ -122,14 +123,16 @@ class TestExplainHeader:
 class TestConfigureRuntime:
     def test_requires_machine(self):
         with pytest.raises(ExecutionError):
-            Database("no-machine").configure_runtime(pooling=True)
+            Database("no-machine").reconfigure(pooling=True)
+        with pytest.raises(ExecutionError):
+            Database("no-machine", result_cache=True)
 
     def test_toggle_after_construction(self):
         db = Database("toggle", machine=Machine())
-        db.configure_runtime(pooling=True, result_cache=True)
+        db.reconfigure(pooling=True, result_cache=True)
         assert db.machine.runtime_pool.enabled
         assert db.machine.result_cache.enabled
-        db.configure_runtime(pooling=False, result_cache=False)
+        db.reconfigure(pooling=False, result_cache=False)
         assert not db.machine.runtime_pool.enabled
         assert not db.machine.result_cache.enabled
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.architectures import Architecture
 from repro.core.scenario import build_scenario
+from repro.fdbs.config import EngineConfig
 from repro.fdbs.types import INTEGER
 from repro.simtime.costs import DEFAULT_COSTS
 from repro.simtime.trace import TraceRecorder
@@ -194,7 +195,7 @@ class TestUdtfTraceSpans:
 
     def test_prepare_span_labels_warm_vs_cold(self, data):
         scenario = build_scenario(
-            Architecture.ENHANCED_SQL_UDTF, data=data, pooling=True
+            Architecture.ENHANCED_SQL_UDTF, data=data, config=EngineConfig(pooling=True)
         )
         cold = self.span_names(scenario, "ACME Industrial")
         warm = self.span_names(scenario, "ACME Industrial")
@@ -206,7 +207,7 @@ class TestUdtfTraceSpans:
     def test_result_cache_span_on_hit(self, data):
         scenario = build_scenario(
             Architecture.ENHANCED_SQL_UDTF, data=data,
-            pooling=True, result_cache=True,
+            config=EngineConfig(pooling=True, result_cache=True),
         )
         self.span_names(scenario, "ACME Industrial")
         cached = self.span_names(scenario, "ACME Industrial")
