@@ -2,7 +2,8 @@
 # Parity gate: one command proving that optimizations never change
 # results or baseline timings.
 #
-#  1. row/batch executor parity suite (same rows either mode),
+#  1. row/batch compile-mode parity suite (same rows whether the
+#     planner compiles per-row or vectorized closures),
 #  2. pooling/caching ablation parity tests (flags off => simulated
 #     timings bit-identical to the calibrated anchors; flags on =>
 #     same result rows, paper's architecture ranking preserved),
@@ -22,11 +23,13 @@
 #     architectures and execution modes; statistics absent =>
 #     bit-identical rows AND simulated times; join strategies —
 #     hash/merge/indexnlj/nlj — bit-identical rows and times, with the
-#     merge-join and adaptive-feedback benchmark gates),
-#  7. chunk/zone-map parity (row vs batch over column chunks =>
-#     bit-identical rows AND simulated times; zone-map pruning on/off
-#     => same rows; COW-rebuild, all-NULL and pinned-snapshot edge
-#     cases; exact chunk counters in both modes),
+#     merge-join and adaptive-feedback benchmark gates; EXPLAIN ANALYZE
+#     parity — equal per-operator actual= counts in both compile modes —
+#     and no cardinality feedback from a scan a LIMIT closed early),
+#  7. chunk/zone-map parity (row vs batch compile modes over column
+#     chunks => bit-identical rows AND simulated times; zone-map
+#     pruning on/off => same rows; COW-rebuild, all-NULL and
+#     pinned-snapshot edge cases; exact chunk counters in both modes),
 #  8. calibration regression (the frozen Fig. 5/6 anchor numbers).
 #
 # Usage: scripts/check_parity.sh
@@ -37,7 +40,7 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== row/batch parity suite =="
+echo "== row/batch compile-mode parity suite =="
 python -m pytest -q tests/test_fdbs_batch_parity.py
 
 echo "== pooling/caching ablation parity =="
@@ -118,7 +121,9 @@ python -m pytest -q -m proc tests/test_process_parity.py \
 
 echo "== optimizer parity (cost-based vs syntactic) =="
 python -m pytest -q tests/test_optimizer_parity.py tests/test_optimizer.py \
-    tests/test_join_strategies.py
+    tests/test_join_strategies.py \
+    "tests/test_fdbs_batch_executor.py::TestExplainOutput::test_explain_analyze_labels_the_session_mode" \
+    "tests/test_fdbs_batch_executor.py::TestExplainOutput::test_explain_analyze_early_limit_records_no_feedback"
 
 echo "== optimizer benchmark gate (merge join + adaptive feedback) =="
 python benchmarks/bench_optimizer.py > /dev/null
@@ -149,7 +154,7 @@ print(f"OK: merge join {merge['speedup_wall']}x wall over hash; "
       f"(q-error {adaptive['observed_q_error']})")
 EOF
 
-echo "== chunk/zone-map parity (row vs batch, zone maps on/off) =="
+echo "== chunk/zone-map parity (row vs batch compile, zone maps on/off) =="
 python -m pytest -q tests/test_columnar_parity.py
 
 echo "== calibration regression =="

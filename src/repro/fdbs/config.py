@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.errors import ExecutionError
 from repro.fdbs.storage import DEFAULT_CHUNK_SIZE
 
-#: The two executor protocols a SELECT can run through.
+#: How the planner compiles expressions: per-row or vectorized closures.
 EXECUTION_MODES = ("row", "batch")
 
 #: Planning modes: FROM order as written, or RUNSTATS-fed reordering.
@@ -48,7 +48,10 @@ class EngineConfig:
     """
 
     execution_mode: str = "row"
-    """``"row"`` (Volcano) or ``"batch"`` (vectorized chunks)."""
+    """How the planner compiles: ``"row"`` (per-row closures, nested-loop
+    explicit joins) or ``"batch"`` (vectorized closures over whole
+    chunks, hash joins under the syntactic optimizer).  Every plan runs
+    through the same chunk protocol either way."""
     optimizer: str = "syntactic"
     """``"syntactic"`` (FROM order as written) or ``"cost"``."""
     join_strategy: str = "auto"

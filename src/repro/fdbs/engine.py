@@ -625,8 +625,8 @@ class Database:
         snapshot: Snapshot,
     ) -> Result:
         """EXPLAIN [ANALYZE]: plan tree with cost-mode cardinality
-        estimates; ANALYZE also executes the plan (row pipeline) and
-        reports the actual row count per operator."""
+        estimates; ANALYZE also drains the plan exactly as a plain
+        execution would and reports the actual row count per operator."""
         plan = self._planner().plan_select(statement.query)
         if self.config.optimizer == "cost":
             from repro.fdbs.optimizer import propagate_estimates
@@ -637,20 +637,17 @@ class Database:
 
             instrument_plan(plan)
             ctx = EvalContext(params=params, trace=trace, snapshot=snapshot)
-            rows = list(plan.rows(ctx))
+            rows = plan.rows(ctx, self.config.chunk_size)
             if self.machine is not None:
                 self.machine.clock.advance(
                     self.machine.costs.fdbs_row_cost * len(rows)
                 )
             if self.config.optimizer == "cost":
                 self._ingest_feedback(plan)
-        # ANALYZE executes the row pipeline whatever the session mode,
-        # so its header names the pipeline that actually ran.
-        mode = "row" if statement.analyze else self.config.execution_mode
         lines = (
             self._runtime_header()
             + [f"Snapshot(epoch={snapshot.epoch})"]
-            + plan.explain(mode=mode).splitlines()
+            + plan.explain(mode=self.config.execution_mode).splitlines()
         )
         return Result(
             columns=["PLAN"],
@@ -864,12 +861,7 @@ class Database:
         config = self.config
         plan = self._planner(config=config).plan_select(statement)
         ctx = EvalContext(params=params, trace=trace, snapshot=snapshot)
-        if config.execution_mode == "batch":
-            rows = [
-                row for chunk in plan.batches(ctx, config.chunk_size) for row in chunk
-            ]
-        else:
-            rows = list(plan.rows(ctx))
+        rows = plan.rows(ctx, config.chunk_size)
         if self.machine is not None:
             self.machine.clock.advance(self.machine.costs.fdbs_row_cost * len(rows))
         return Result(
@@ -920,8 +912,9 @@ class Database:
                     for index, param in enumerate(function.params)
                 },
             )
-            # UDTF bodies always plan (and run) row-at-a-time and
-            # syntactically: fenced invocation semantics and the per-row
+            # UDTF bodies always plan with per-row closures and
+            # syntactically (they run through ``batches()`` like every
+            # plan): fenced invocation semantics and the per-row
             # simulated cost charges must stay bit-identical regardless
             # of the session's mode, and cached body plans must not
             # depend on statistics collected later.
@@ -940,7 +933,7 @@ class Database:
             ctx = EvalContext(
                 params=args, trace=trace, snapshot=self.pin_snapshot()
             )
-            return list(plan.rows(ctx))
+            return plan.rows(ctx, self.config.chunk_size)
         finally:
             self._local.function_depth -= 1
 
@@ -1225,9 +1218,10 @@ class Database:
 
     def _subquery_for_dml(self, select: ast.Select):
         plan = self._planner().plan_select(select)
+        size = self.config.chunk_size
 
         def run(ctx: EvalContext) -> list[tuple]:
-            return list(plan.rows(ctx))
+            return plan.rows(ctx, size)
 
         return run
 

@@ -1,20 +1,18 @@
-"""Volcano-style plan operators, with an optional batch protocol.
+"""Plan operators speaking one chunk protocol.
 
 Every operator exposes ``schema`` (a list of
-:class:`~repro.fdbs.expr.ColumnSlot`) and ``rows(ctx)`` yielding flat
-tuples.  Plans are built by :mod:`repro.fdbs.planner` and executed by
-the engine, which supplies the :class:`~repro.fdbs.expr.EvalContext`
-and the table-function invoker.
+:class:`~repro.fdbs.expr.ColumnSlot`) and ``batches(ctx, size)``
+yielding *chunks* (lists) of flat tuples, sized around ``size``.  Plans
+are built by :mod:`repro.fdbs.planner` and executed by the engine, which
+supplies the :class:`~repro.fdbs.expr.EvalContext` and the
+table-function invoker; :meth:`Plan.rows` flattens the chunks for
+consumers that materialise.
 
-Operators additionally expose ``batches(ctx)`` yielding *chunks* (lists)
-of tuples.  The default implementation chunks ``rows(ctx)``, so every
-operator is batch-capable; the hot relational operators (scan, filter,
-project, hash join, aggregate, sort, distinct, union, limit) override it
-with vectorized implementations that evaluate whole chunks per
-Python-level call.  Row mode and batch mode produce identical rows — the
-batch forms only change *how often Python dispatches*, never the
-relational semantics, the lateral (left-to-right) evaluation order, or
-the simulated cost accounting.
+``execution_mode`` only decides how the planner compiles — per-row
+:class:`~repro.fdbs.expr.CompiledExpr` calls, or vectorized ``batch_*``
+closures over whole chunks plus hash joins for explicit equi-joins —
+never the protocol, the relational semantics, the lateral
+(left-to-right) evaluation order, or the simulated cost accounting.
 """
 
 from __future__ import annotations
@@ -34,8 +32,14 @@ from repro.fdbs.expr import (
 )
 from repro.fdbs.storage import Table
 
-#: Default number of rows per chunk in batch execution.
+#: Default number of rows per chunk.
 BATCH_SIZE = 1024
+
+
+def _chunked(rows: list[tuple], size: int) -> Iterator[list[tuple]]:
+    """Slice materialised rows into chunks of at most ``size``."""
+    for start in range(0, len(rows), size):
+        yield rows[start : start + size]
 
 
 class FunctionInvoker(Protocol):
@@ -57,23 +61,17 @@ class Plan:
     #: Observed output cardinality, set by EXPLAIN ANALYZE
     #: instrumentation; None otherwise.
     actual_rows: int | None = None
-
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:  # pragma: no cover
-        """Yield the operator's result rows."""
-        raise NotImplementedError
+    #: False when an instrumented run closed this operator before its
+    #: chunks ran out, so ``actual_rows`` counts only a prefix.
+    actual_drained: bool = True
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks of result rows (default: chunked ``rows``)."""
-        chunk: list[tuple] = []
-        append = chunk.append
-        for row in self.rows(ctx):
-            append(row)
-            if len(chunk) >= size:
-                yield chunk
-                chunk = []
-                append = chunk.append
-        if chunk:
-            yield chunk
+        """Yield the operator's result rows in chunks (the protocol)."""
+        raise NotImplementedError  # pragma: no cover
+
+    def rows(self, ctx: EvalContext, size: int = BATCH_SIZE) -> list[tuple]:
+        """All result rows, drained from :meth:`batches`."""
+        return [row for chunk in self.batches(ctx, size) for row in chunk]
 
     def explain(self, indent: int = 0, mode: str | None = None) -> str:
         """Human-readable plan tree (EXPLAIN-style).
@@ -115,9 +113,9 @@ class UnitPlan(Plan):
     def __init__(self) -> None:
         self.schema = []
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        yield ()
+    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
+        """Yield the single empty row."""
+        yield [()]
 
     def _describe(self) -> str:
         return "Unit"
@@ -208,23 +206,6 @@ class TableScanPlan(Plan):
             if self.chunk_note is not None:
                 self.chunk_note(scanned, pruned)
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        version = self._version(ctx)
-        if self.index_probe is not None:
-            column, value_expr = self.index_probe
-            value = value_expr((), ctx)
-            if value is None:
-                return  # col = NULL never matches
-            yield from self._table.version_index_lookup(version, column, value)
-            return
-        if self.prune_checks:
-            for chunk in self._chunks(ctx):
-                yield from chunk.rows
-            return
-        for row in version.rows():
-            yield row
-
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks by slicing the materialised heap directly."""
         version = self._version(ctx)
@@ -240,8 +221,7 @@ class TableScanPlan(Plan):
             return
         else:
             data = version.rows()
-        for start in range(0, len(data), size):
-            yield data[start : start + size]
+        yield from _chunked(data, size)
 
     def _describe(self) -> str:
         if self.index_probe is not None:
@@ -279,9 +259,9 @@ class RemoteScanPlan(Plan):
         self._name = name
         self.pushed_predicates: list[str] = []
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        yield from self.fetcher.fetch(ctx, self.pushed_predicates)
+    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
+        """Ship the remote statement and yield its rows in chunks."""
+        yield from _chunked(self.fetcher.fetch(ctx, self.pushed_predicates), size)
 
     def _describe(self) -> str:
         if self.pushed_predicates:
@@ -300,9 +280,9 @@ class SyscatScanPlan(Plan):
         self.schema = schema
         self._name = name
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        yield from self._generator(self._catalog)
+    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
+        """Generate the virtual table from the live catalog, in chunks."""
+        yield from _chunked(list(self._generator(self._catalog)), size)
 
     def _describe(self) -> str:
         return f"SyscatScan({self._name})"
@@ -320,22 +300,25 @@ class CrossApplyPlan(Plan):
         self.right = right
         self.schema = left.schema + right.schema
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        for left_row in self.left.rows(ctx):
-            for right_row in self.right.rows_for(left_row, ctx):
-                yield left_row + right_row
-
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks.  The degenerate first fold step (Unit seed on
-        the left, a static plan on the right) forwards the right side's
-        batches unchanged; lateral folds keep row-at-a-time semantics
-        (chunked), preserving the left-to-right invocation order that
-        the cost accounting and fenced UDTF semantics depend on."""
+        """Yield one output chunk per left chunk.  The degenerate first
+        fold step (Unit seed on the left, a static plan on the right)
+        forwards the right side's batches unchanged, so the first FROM
+        item streams; lateral folds call the right side once per left
+        row, left to right — the invocation order that the cost
+        accounting and fenced UDTF semantics depend on."""
         if isinstance(self.left, UnitPlan) and isinstance(self.right, StaticRightSide):
             yield from self.right.plan.batches(ctx, size)
             return
-        yield from super().batches(ctx, size)
+        rows_for = self.right.rows_for
+        for chunk in self.left.batches(ctx, size):
+            out = [
+                left_row + right_row
+                for left_row in chunk
+                for right_row in rows_for(left_row, ctx)
+            ]
+            if out:
+                yield out
 
     def _describe(self) -> str:
         return "CrossApply"
@@ -369,7 +352,7 @@ class StaticRightSide(RightSide):
     def rows_for(self, left_row: tuple, ctx: EvalContext) -> Iterable[tuple]:
         """Rows of the right side for one left row."""
         if self._cache is None:
-            self._cache = list(self.plan.rows(ctx))
+            self._cache = self.plan.rows(ctx)
         return self._cache
 
 
@@ -454,19 +437,25 @@ class NestedLoopJoinPlan(Plan):
         self.predicate = predicate
         self.schema = left.schema + right.schema
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        right_rows = list(self.right.rows(ctx))
+    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
+        """Materialise the right side, then join it to each left chunk."""
+        right_rows = self.right.rows(ctx, size)
         null_right = (None,) * len(self.right.schema)
-        for left_row in self.left.rows(ctx):
-            matched = False
-            for right_row in right_rows:
-                combined = left_row + right_row
-                if self.predicate is None or truthy(self.predicate(combined, ctx)):
-                    matched = True
-                    yield combined
-            if not matched and self.kind == "LEFT OUTER":
-                yield left_row + null_right
+        predicate = self.predicate
+        left_outer = self.kind == "LEFT OUTER"
+        for chunk in self.left.batches(ctx, size):
+            out: list[tuple] = []
+            for left_row in chunk:
+                matched = False
+                for right_row in right_rows:
+                    combined = left_row + right_row
+                    if predicate is None or truthy(predicate(combined, ctx)):
+                        matched = True
+                        out.append(combined)
+                if not matched and left_outer:
+                    out.append(left_row + null_right)
+            if out:
+                yield out
 
     def _describe(self) -> str:
         return f"NestedLoopJoin({self.kind}, join=nlj)"
@@ -523,11 +512,11 @@ class HashJoinPlan(Plan):
         #: the planner in batch mode; evaluated against left rows only).
         self.batch_left_keys: list[BatchFn] | None = None
 
-    def _build(self, ctx: EvalContext) -> dict[tuple, list[tuple]]:
+    def _build(self, ctx: EvalContext, size: int) -> dict[tuple, list[tuple]]:
         """Materialise the right side into key buckets (NULLs never match)."""
         table: dict[tuple, list[tuple]] = {}
         right_keys = self.right_keys
-        for right_row in self.right.rows(ctx):
+        for right_row in self.right.rows(ctx, size):
             values = [key(right_row, ctx) for key in right_keys]
             if any(value is None for value in values):
                 continue
@@ -566,18 +555,9 @@ class HashJoinPlan(Plan):
             return None
         return tuple(_join_key_part(value) for value in values)
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        table = self._build(ctx)
-        null_right = (None,) * len(self.right.schema)
-        for left_row in self.left.rows(ctx):
-            out: list[tuple] = []
-            self._probe(left_row, self._left_key(left_row, ctx), table, null_right, ctx, out)
-            yield from out
-
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks by probing the hash table with left chunks."""
-        table = self._build(ctx)
+        table = self._build(ctx, size)
         null_right = (None,) * len(self.right.schema)
         batch_keys = self.batch_left_keys
         for chunk in self.left.batches(ctx, size):
@@ -653,22 +633,21 @@ class MergeJoinPlan(Plan):
         self.sorts_applied = 0
         self.presorted_inputs = 0
 
-    def _prepare(self, ctx: EvalContext):
+    def _prepare(self, ctx: EvalContext, size: int):
         """Materialise the right side into ``(group_keys, group_rows,
         buckets)``: sorted distinct keys with their row groups, or a
         plain dict (``buckets``) when the keys defeat ordering."""
         index = self.right_key_index
+        right_rows = self.right.rows(ctx, size)
         if self.normalise:
             pairs = [
                 (_join_key_part(row[index]), row)
-                for row in self.right.rows(ctx)
+                for row in right_rows
                 if row[index] is not None
             ]
         else:
             pairs = [
-                (row[index], row)
-                for row in self.right.rows(ctx)
-                if row[index] is not None
+                (row[index], row) for row in right_rows if row[index] is not None
             ]
         keys = [pair[0] for pair in pairs]
         comparable = True
@@ -704,52 +683,9 @@ class MergeJoinPlan(Plan):
                 group_rows.append([row])
         return group_keys, group_rows, None
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows (row-protocol probe, so
-        EXPLAIN ANALYZE instrumentation sees the left subtree)."""
-        group_keys, group_rows, buckets = self._prepare(ctx)
-        left_key = self.left_key
-        if buckets is not None:
-            for left_row in self.left.rows(ctx):
-                value = left_key(left_row, ctx)
-                if value is None:
-                    continue
-                for right_row in buckets.get(_join_key_part(value), ()):
-                    yield left_row + right_row
-            return
-        n = len(group_keys)
-        cursor = 0
-        previous: object = None
-        first = True
-        lookup: dict | None = None
-        normalise = self.normalise
-        for left_row in self.left.rows(ctx):
-            key = left_key(left_row, ctx)
-            if key is None:
-                continue
-            if normalise:
-                key = _join_key_part(key)
-            try:
-                if first or key >= previous:
-                    while cursor < n and group_keys[cursor] < key:
-                        cursor += 1
-                else:  # left order regressed: bisect instead of rewind
-                    cursor = bisect_left(group_keys, key)
-                first = False
-                previous = key
-            except TypeError:
-                if lookup is None:
-                    lookup = dict(zip(group_keys, group_rows))
-                for right_row in lookup.get(key, ()):
-                    yield left_row + right_row
-                continue
-            if cursor < n and group_keys[cursor] == key:
-                for right_row in group_rows[cursor]:
-                    yield left_row + right_row
-
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks by merging left chunks against the grouped right."""
-        group_keys, group_rows, buckets = self._prepare(ctx)
+        group_keys, group_rows, buckets = self._prepare(ctx, size)
         left_index = self.left_key_index
         left_key = self.left_key
         normalise = self.normalise
@@ -856,26 +792,30 @@ class IndexNestedLoopJoinPlan(Plan):
         self.schema = left.schema + scan.schema
         self.index_probes = 0
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
+    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
+        """Yield one chunk per left chunk, probing once per distinct key."""
         table = self.scan._table
         version = self.scan._version(ctx)
         lookup = table.version_index_lookup
         column = self.column
         left_key = self.left_key
         cache: dict[object, list[tuple]] = {}
-        for left_row in self.left.rows(ctx):
-            value = left_key(left_row, ctx)
-            if value is None:
-                continue
-            key = _join_key_part(value)
-            matches = cache.get(key)
-            if matches is None:
-                matches = lookup(version, column, value)
-                cache[key] = matches
-                self.index_probes += 1
-            for right_row in matches:
-                yield left_row + right_row
+        for chunk in self.left.batches(ctx, size):
+            out: list[tuple] = []
+            for left_row in chunk:
+                value = left_key(left_row, ctx)
+                if value is None:
+                    continue
+                key = _join_key_part(value)
+                matches = cache.get(key)
+                if matches is None:
+                    matches = lookup(version, column, value)
+                    cache[key] = matches
+                    self.index_probes += 1
+                for right_row in matches:
+                    out.append(left_row + right_row)
+            if out:
+                yield out
 
     def _describe(self) -> str:
         return (
@@ -952,7 +892,7 @@ class RemoteBindJoinPlan(Plan):
 
     def _emit(
         self, left_rows: list[tuple], ctx: EvalContext, predicates: list[str]
-    ) -> Iterator[tuple]:
+    ) -> list[tuple]:
         """Fetch the (possibly bound) remote side and hash-join it back:
         outer-major, remote matches in remote-scan order."""
         buckets: dict[object, list[tuple]] = {}
@@ -963,16 +903,18 @@ class RemoteBindJoinPlan(Plan):
                 continue
             bucket = buckets.setdefault(_join_key_part(value), [])
             bucket.append(remote_row)
+        out: list[tuple] = []
         for left_row in left_rows:
             value = self.left_key(left_row, ctx)
             if value is None:
                 continue
             for remote_row in buckets.get(_join_key_part(value), ()):
-                yield left_row + remote_row
+                out.append(left_row + remote_row)
+        return out
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        left_rows = list(self.left.rows(ctx))
+    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
+        """Materialise the outer side, ship its keys, yield the join."""
+        left_rows = self.left.rows(ctx, size)
         key_values = self._distinct_keys(left_rows, ctx)
         if not key_values:
             return  # inner equality over all-NULL outer keys: no matches
@@ -991,7 +933,7 @@ class RemoteBindJoinPlan(Plan):
             self.unbound_fetches += 1
             if layer is not None:
                 layer.bind_join_fallbacks += 1
-        yield from self._emit(left_rows, ctx, predicates)
+        yield from _chunked(self._emit(left_rows, ctx, predicates), size)
 
     def _describe(self) -> str:
         return f"BindJoin({self.scan._name}, bind: {self.bind_column})"
@@ -1037,9 +979,10 @@ class AdaptiveRemoteJoinPlan(RemoteBindJoinPlan):
         #: Build-side cardinality the COUNT(*) probe observed last run.
         self.last_probed_build: int | None = None
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        left_rows = list(self.left.rows(ctx))
+    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
+        """Materialise the outer side, probe the build side's size, then
+        join ship-all or — past the blowup factor — bound."""
+        left_rows = self.left.rows(ctx, size)
         key_values = self._distinct_keys(left_rows, ctx)
         if not key_values:
             return  # inner equality over all-NULL outer keys: no matches
@@ -1060,7 +1003,7 @@ class AdaptiveRemoteJoinPlan(RemoteBindJoinPlan):
                 self.note()
         else:
             self.unbound_fetches += 1
-        yield from self._emit(left_rows, ctx, predicates)
+        yield from _chunked(self._emit(left_rows, ctx, predicates), size)
 
     def _describe(self) -> str:
         return (
@@ -1101,9 +1044,10 @@ class UdtfBindJoinPlan(Plan):
         self.schema = left.schema + right.schema
         self.batched_invocations = 0
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        left_rows = list(self.left.rows(ctx))
+    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
+        """Materialise the outer side, invoke the function once per
+        distinct argument tuple, then yield the join."""
+        left_rows = self.left.rows(ctx, size)
         arg_exprs = self.right.arg_exprs
         per_row_keys: list[tuple | None] = []
         distinct_args: list[list[object]] = []
@@ -1130,6 +1074,7 @@ class UdtfBindJoinPlan(Plan):
             self.right.cache_hits += sum(
                 1 for key in per_row_keys if key is not None
             ) - len(distinct_args)
+        out: list[tuple] = []
         for index, left_row in enumerate(left_rows):
             key = per_row_keys[index]
             if key is None:
@@ -1138,7 +1083,8 @@ class UdtfBindJoinPlan(Plan):
             else:
                 rows = results[key_order[key]]
             for right_row in rows:
-                yield left_row + right_row
+                out.append(left_row + right_row)
+        yield from _chunked(out, size)
 
     def _describe(self) -> str:
         return f"BindJoin(TABLE({self.right.function.name}) {self.right.alias})"
@@ -1161,12 +1107,6 @@ class FilterPlan(Plan):
         #: after predicate pushdown split some off (attached by the
         #: planner so EXPLAIN shows the residual set explicitly).
         self.residual_texts: list[str] | None = None
-
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        for row in self.input.rows(ctx):
-            if truthy(self.predicate(row, ctx)):
-                yield row
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks filtered through the vectorized predicate."""
@@ -1209,11 +1149,6 @@ class ProjectPlan(Plan):
         #: Chunk-at-a-time column closures (attached by the planner in
         #: batch mode); one per select-list expression.
         self.batch_exprs: list[BatchFn] | None = None
-
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        for row in self.input.rows(ctx):
-            yield tuple(expr(row, ctx) for expr in self.exprs)
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks projected column-wise."""
@@ -1262,12 +1197,6 @@ class _AggState:
         self.best: object = None
         self.seen: set | None = set() if spec.distinct else None
 
-    def update(self, row: tuple, ctx: EvalContext) -> None:
-        if self.spec.arg is None:  # COUNT(*)
-            self.count += 1
-            return
-        self.update_value(self.spec.arg(row, ctx))
-
     def update_value(self, value: object) -> None:
         """Fold one already-evaluated argument value into the state."""
         if self.spec.arg is None:  # COUNT(*): every row counts
@@ -1292,15 +1221,18 @@ class _AggState:
         """Fold a whole chunk of argument values at once.
 
         ``values`` is None for COUNT(*) (``count`` rows, no argument).
-        SUM/MIN/MAX over plain numeric chunks use the C-level builtins;
-        anything they cannot fold (mixed or exotic operand types) falls
-        back to the exact per-value path, keeping row-mode semantics.
+        Batch-compiled SUM/MIN/MAX over plain numeric chunks use the
+        C-level builtins; anything they cannot fold (mixed or exotic
+        operand types) falls back to the exact per-value path.  Row
+        compilation always folds value by value, so its float sums
+        accumulate in row order.
         """
         if self.spec.arg is None:
             self.count += count
             return
         assert values is not None
-        if self.seen is not None:  # DISTINCT must see every value in order
+        # DISTINCT must see every value in order; so must row compilation.
+        if self.seen is not None or self.spec.batch_arg is None:
             for value in values:
                 self.update_value(value)
             return
@@ -1372,27 +1304,6 @@ class AggregatePlan(Plan):
         #: Chunk-at-a-time closures for the group keys (batch mode).
         self.batch_group: list[BatchFn] | None = None
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        groups: dict[tuple, list[_AggState]] = {}
-        order: list[tuple] = []
-        for row in self.input.rows(ctx):
-            key = tuple(expr(row, ctx) for expr in self.group_exprs)
-            states = groups.get(key)
-            if states is None:
-                states = [spec.new_state() for spec in self.aggregates]
-                groups[key] = states
-                order.append(key)
-            for state in states:
-                state.update(row, ctx)
-        if not groups and not self.group_exprs:
-            # Global aggregate over an empty input still yields one row.
-            states = [spec.new_state() for spec in self.aggregates]
-            yield tuple(state.result() for state in states)
-            return
-        for key in order:
-            yield key + tuple(state.result() for state in groups[key])
-
     def _argument_columns(self, chunk: list[tuple], ctx: EvalContext) -> list[list | None]:
         """One evaluated value column per aggregate (None for COUNT(*))."""
         columns: list[list | None] = []
@@ -1436,8 +1347,7 @@ class AggregatePlan(Plan):
                 for state, column in zip(states, columns):
                     state.update_value(column[index] if column is not None else None)
         out = [key + tuple(state.result() for state in groups[key]) for key in order]
-        for start in range(0, len(out), size):
-            yield out[start : start + size]
+        yield from _chunked(out, size)
 
     def _describe(self) -> str:
         return f"Aggregate(groups={len(self.group_exprs)}, aggs={len(self.aggregates)})"
@@ -1463,10 +1373,6 @@ class SortPlan(Plan):
         self.keys = keys  # (position or extractor, ascending)
         self.schema = input_plan.schema
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        yield from self._sorted(list(self.input.rows(ctx)), ctx)
-
     def _sorted(self, materialised: list[tuple], ctx: EvalContext) -> list[tuple]:
         # Stable multi-key sort: apply keys right-to-left.
         for key, ascending in reversed(self.keys):
@@ -1482,9 +1388,7 @@ class SortPlan(Plan):
         materialised: list[tuple] = []
         for chunk in self.input.batches(ctx, size):
             materialised.extend(chunk)
-        ordered = self._sorted(materialised, ctx)
-        for start in range(0, len(ordered), size):
-            yield ordered[start : start + size]
+        yield from _chunked(self._sorted(materialised, ctx), size)
 
     def _describe(self) -> str:
         return "Sort"
@@ -1522,11 +1426,6 @@ class CutPlan(Plan):
         self.width = width
         self.schema = schema
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        for row in self.input.rows(ctx):
-            yield row[: self.width]
-
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks with hidden sort-key columns trimmed."""
         width = self.width
@@ -1546,14 +1445,6 @@ class DistinctPlan(Plan):
     def __init__(self, input_plan: Plan):
         self.input = input_plan
         self.schema = input_plan.schema
-
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        seen: set[tuple] = set()
-        for row in self.input.rows(ctx):
-            if row not in seen:
-                seen.add(row)
-                yield row
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks with duplicates removed (first occurrence wins)."""
@@ -1582,17 +1473,6 @@ class LimitPlan(Plan):
         self.input = input_plan
         self.limit = limit
         self.schema = input_plan.schema
-
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        if self.limit <= 0:
-            return
-        produced = 0
-        for row in self.input.rows(ctx):
-            yield row
-            produced += 1
-            if produced >= self.limit:
-                return
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks until the row budget is spent."""
@@ -1626,19 +1506,6 @@ class UnionPlan(Plan):
         self.all = all_
         self.schema = self.branches[0].schema
 
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        if self.all:
-            for branch in self.branches:
-                yield from branch.rows(ctx)
-            return
-        seen: set[tuple] = set()
-        for branch in self.branches:
-            for row in branch.rows(ctx):
-                if row not in seen:
-                    seen.add(row)
-                    yield row
-
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield each branch's chunks in turn (deduplicated unless ALL)."""
         if self.all:
@@ -1662,19 +1529,3 @@ class UnionPlan(Plan):
 
     def _children(self) -> list[Plan]:
         return self.branches
-
-
-class ValuesPlan(Plan):
-    """A constant row source (used by INSERT ... VALUES planning)."""
-
-    def __init__(self, rows_exprs: list[list[CompiledExpr]], schema: list[ColumnSlot]):
-        self._rows_exprs = rows_exprs
-        self.schema = schema
-
-    def rows(self, ctx: EvalContext) -> Iterator[tuple]:
-        """Yield the operator's result rows."""
-        for row_exprs in self._rows_exprs:
-            yield tuple(expr((), ctx) for expr in row_exprs)
-
-    def _describe(self) -> str:
-        return f"Values({len(self._rows_exprs)})"

@@ -41,6 +41,7 @@ from typing import Callable
 
 from repro.fdbs import ast
 from repro.fdbs.executor import (
+    BATCH_SIZE,
     MAX_BIND_KEYS,
     AggregatePlan,
     DistinctPlan,
@@ -727,26 +728,35 @@ def propagate_estimates(plan: Plan) -> None:
 
 
 def instrument_plan(plan: Plan, _seen: "set[int] | None" = None) -> None:
-    """Wrap every operator's ``rows`` with an output-row counter.
+    """Wrap every operator's ``batches`` with an output-row counter.
 
     Used by EXPLAIN ANALYZE: after execution each node's ``actual_rows``
     holds its observed output cardinality (accumulated across calls, so
-    a right side consumed by a join build counts once per produced row).
+    a right side consumed by a join build counts once per produced row),
+    and ``actual_drained`` turns False once any call was closed before
+    its chunks ran out (a satisfied LIMIT above it).
     """
     if _seen is None:
         _seen = set()
     if id(plan) in _seen:
         return
     _seen.add(id(plan))
-    original = plan.rows
+    original = plan.batches
     plan.actual_rows = 0
+    plan.actual_drained = True
 
-    def counted(ctx, _original=original, _node=plan):
-        for row in _original(ctx):
-            _node.actual_rows += 1
-            yield row
+    def counted(ctx, size=BATCH_SIZE, _original=original, _node=plan):
+        drained = False
+        try:
+            for chunk in _original(ctx, size):
+                _node.actual_rows += len(chunk)
+                yield chunk
+            drained = True
+        finally:
+            if not drained:
+                _node.actual_drained = False
 
-    plan.rows = counted  # type: ignore[method-assign]
+    plan.batches = counted  # type: ignore[method-assign]
     for child in plan._children():  # noqa: SLF001 - same package
         instrument_plan(child, _seen)
 
@@ -756,9 +766,10 @@ def collect_feedback(plan: Plan) -> list[tuple[str, int, int, float]]:
 
     Cardinality-feedback ingestion after an instrumented run: only
     *clean* full scans carry evidence — a scan with an index probe or
-    zone checks outputs a filtered subset, a scan inside a bind join
-    never executes (``actual_rows`` stays 0), and a zero-row
-    observation is unbounded in q-error — all are skipped.
+    zone checks outputs a filtered subset, a scan closed early by a
+    LIMIT saw only a prefix, a scan inside a bind join never executes
+    (``actual_rows`` stays 0), and a zero-row observation is unbounded
+    in q-error — all are skipped.
     """
     from repro.fdbs.executor import RemoteScanPlan, TableScanPlan
 
@@ -770,7 +781,7 @@ def collect_feedback(plan: Plan) -> list[tuple[str, int, int, float]]:
             return
         seen.add(id(node))
         est, actual = node.est_rows, node.actual_rows
-        if est is not None and actual:
+        if est is not None and actual and node.actual_drained:
             if isinstance(node, TableScanPlan):
                 if node.index_probe is None and not node.prune_checks:
                     name = getattr(node._table, "name", node._name)

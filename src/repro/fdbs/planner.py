@@ -25,6 +25,7 @@ from repro.fdbs import ast
 from repro.fdbs.catalog import Catalog, ColumnDef, NicknameDef
 from repro.fdbs.config import EngineConfig
 from repro.fdbs.executor import (
+    BATCH_SIZE,
     MAX_BIND_KEYS,
     AdaptiveRemoteJoinPlan,
     AggregatePlan,
@@ -378,9 +379,10 @@ class Planner:
         self, select: ast.Select
     ) -> Callable[[EvalContext], list[tuple]]:
         subplan = self.plan_select(select)
+        size = self.config.chunk_size
 
         def run(ctx: EvalContext) -> list[tuple]:
-            return list(subplan.rows(ctx))
+            return subplan.rows(ctx, size)
 
         return run
 
@@ -518,8 +520,8 @@ class Planner:
                 scan, join_plan = local_built
                 if local_spec.strategy in ("hash", "merge"):
                     # Hash and merge joins pull the inner side through
-                    # ``scan.rows()``, so index probes and zone checks
-                    # still apply.  IndexNLJ bypasses the scan protocol
+                    # the scan's ``batches()``, so index probes and zone
+                    # checks still apply.  IndexNLJ bypasses the scan protocol
                     # entirely (it probes the hash index per outer key),
                     # so its scan must stay unregistered.
                     for alias in alias_names:
@@ -1332,8 +1334,9 @@ class _Reschema(Plan):
         self.inner = inner
         self.schema = schema
 
-    def rows(self, ctx: EvalContext):
-        return self.inner.rows(ctx)
+    def batches(self, ctx: EvalContext, size: int = BATCH_SIZE):
+        """Forward the subplan's chunks unchanged."""
+        return self.inner.batches(ctx, size)
 
     def _describe(self) -> str:
         return "Reschema"

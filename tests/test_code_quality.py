@@ -83,3 +83,38 @@ def test_having_with_global_aggregate():
     assert db.execute("SELECT 1 FROM t HAVING COUNT(*) > 5").rows == []
     with pytest.raises(Exception):
         db.execute("SELECT 1 FROM t HAVING a > 1")  # no aggregate at all
+
+
+def test_plan_operators_speak_only_the_chunk_protocol():
+    """Every plan operator implements ``batches`` and none overrides
+    ``rows`` — the base class's flattening helper is the only row view."""
+    classes: dict[str, ast.ClassDef] = {}
+    for path in sorted((SRC / "fdbs").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+
+    def is_operator(name: str) -> bool:
+        node = classes.get(name)
+        if node is None:
+            return False
+        return any(
+            isinstance(base, ast.Name)
+            and (base.id == "Plan" or is_operator(base.id))
+            for base in node.bases
+        )
+
+    def methods(node: ast.ClassDef) -> set[str]:
+        return {
+            member.name
+            for member in node.body
+            if isinstance(member, ast.FunctionDef)
+        }
+
+    operators = [name for name in classes if is_operator(name)]
+    assert len(operators) >= 20, operators
+    assert {"rows", "batches"} <= methods(classes["Plan"])
+    overriding = [name for name in operators if "rows" in methods(classes[name])]
+    assert not overriding, f"operators overriding rows(): {overriding}"
+    missing = [name for name in operators if "batches" not in methods(classes[name])]
+    assert not missing, f"operators without batches(): {missing}"

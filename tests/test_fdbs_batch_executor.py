@@ -62,6 +62,23 @@ class TestExecutionMode:
         assert db.statement_cache.stats()["hits"] == hits + 1
 
 
+    def test_row_compiled_sum_folds_in_row_order(self):
+        # Row mode drains chunks too, but its SUM must still add one
+        # value at a time: chunk-wise partial sums round differently.
+        import random
+
+        rng = random.Random(7)
+        values = [rng.uniform(-1e6, 1e6) for _ in range(40)]
+        expected = values[0]
+        for value in values[1:]:
+            expected += value
+        db = Database("sum", chunk_size=4)
+        db.execute("CREATE TABLE t (v DOUBLE)")
+        for value in values:
+            db.execute("INSERT INTO t VALUES (?)", params=[value])
+        assert db.execute("SELECT SUM(t.v) FROM t").rows == [(expected,)]
+
+
 class TestExplainOutput:
     def test_explain_shows_mode_header(self):
         row_db = make_join_db("row")
@@ -83,16 +100,47 @@ class TestExplainOutput:
         assert rows[0][0].startswith("Snapshot(epoch=")
         assert rows[1] == ("Execution(mode=batch)",)
 
-    def test_explain_analyze_labels_the_row_pipeline(self):
-        # ANALYZE executes the row pipeline whatever the session mode;
-        # plain EXPLAIN keeps the session mode.
-        db = make_join_db("batch")
-        db.execute("INSERT INTO l VALUES (1, 'x')")
-        rows = db.execute("EXPLAIN ANALYZE SELECT * FROM l").rows
-        assert rows[1] == ("Execution(mode=row)",)
-        assert "actual=1" in rows[2][0]
-        rows = db.execute("EXPLAIN SELECT * FROM l").rows
-        assert rows[1] == ("Execution(mode=batch)",)
+    def test_explain_analyze_labels_the_session_mode(self):
+        # ANALYZE drains the plan the session runs, so its header names
+        # the session mode, and the per-operator ``actual=`` counts of
+        # one query agree across modes.
+        sql = (
+            "SELECT l.s, COUNT(*) FROM l, r WHERE l.a = r.b AND l.a > 0 "
+            "GROUP BY l.s ORDER BY l.s"
+        )
+        trees = {}
+        for mode in ("row", "batch"):
+            db = make_join_db(mode)
+            for index in range(6):
+                db.execute(
+                    "INSERT INTO l VALUES (?, ?)", params=[index, f"s{index % 2}"]
+                )
+                db.execute(
+                    "INSERT INTO r VALUES (?, ?)", params=[index % 3, "t"]
+                )
+            rows = db.execute("EXPLAIN ANALYZE " + sql).rows
+            assert rows[1] == (f"Execution(mode={mode})",)
+            trees[mode] = [line for line, in rows[2:]]
+            assert all("actual=" in line for line in trees[mode])
+        assert trees["row"] == trees["batch"]
+
+    def test_explain_analyze_early_limit_records_no_feedback(self):
+        # A LIMIT closes the scan after its first chunk: the prefix the
+        # scan delivered is no cardinality evidence, so neither mode may
+        # record feedback or bump the stats epoch.
+        for mode in ("row", "batch"):
+            db = Database("limit", execution_mode=mode, optimizer="cost")
+            db.execute("CREATE TABLE big (id INT, v INT)")
+            for index in range(5000):
+                db.execute(
+                    "INSERT INTO big VALUES (?, ?)", params=[index, index % 13]
+                )
+            db.execute("RUNSTATS big")
+            epoch = db.catalog.stats_epoch
+            feedback = db.catalog.feedback()
+            db.execute("EXPLAIN ANALYZE SELECT big.v FROM big LIMIT 2")
+            assert db.catalog.stats_epoch == epoch, mode
+            assert db.catalog.feedback() == feedback, mode
 
     def test_batch_equi_join_uses_hash_join(self):
         db = make_join_db("batch")

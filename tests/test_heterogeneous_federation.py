@@ -300,14 +300,12 @@ class TestChunkCountersUnderLimit:
     ``chunks_scanned`` counter stay consistent when LIMIT stops a
     zone-map-checked scan early, in both execution modes.
 
-    Plain execution streams: a satisfied LIMIT closes the scan
-    generator, and the counters record only the chunks actually
-    examined (pruned) or delivered (scanned).  EXPLAIN ANALYZE instead
-    reports the execution *it* performed — the row pipeline, whose
-    static join sides materialise — so its ``pruned=N/M`` covers the
-    full drain.  Both views satisfy the same identity: the scanned
-    delta equals delivered chunks (``M - N`` for the drain ANALYZE
-    reports)."""
+    Execution streams the first FROM item in both modes: a satisfied
+    LIMIT closes the scan generator, and the counters record only the
+    chunks actually examined (pruned) or delivered (scanned).  EXPLAIN
+    ANALYZE drains the same pipeline, so its ``pruned=N/M`` reports that
+    early-closed scan, and the identity holds: the scanned delta equals
+    the delivered chunks, ``M - N``."""
 
     MODES = ("row", "batch")
 
@@ -339,11 +337,10 @@ class TestChunkCountersUnderLimit:
                 self._db(mode), "SELECT t.id FROM t WHERE t.id >= 8 LIMIT 2"
             )
             assert rows == [(8,), (9,)]
-        # chunks 0-1 (ids 0..7) are zone-pruned in both modes.  Batch
-        # mode streams the first FROM item, so LIMIT 2 is satisfied by
-        # the first delivered chunk and the scan stops there; the row
-        # pipeline materialises that static side and really reads all 8.
-        assert deltas == {"row": (8, 2), "batch": (1, 2)}
+        # chunks 0-1 (ids 0..7) are zone-pruned in both modes.  Both
+        # modes stream the first FROM item, so LIMIT 2 is satisfied by
+        # the first delivered chunk and the scan stops there.
+        assert deltas == {"row": (1, 2), "batch": (1, 2)}
 
     def test_full_scan_counts_all_chunks(self):
         for mode in self.MODES:
@@ -359,6 +356,8 @@ class TestChunkCountersUnderLimit:
                 "EXPLAIN ANALYZE SELECT t.id FROM t WHERE t.id >= 8 LIMIT 2",
             )
             scan_line = next(line for line, in result if "TableScan" in line)
-            assert "[pruned=2/10 chunks]" in scan_line
+            # two pruned chunks, then the first delivered one satisfies
+            # the LIMIT and closes the scan: 3 chunks examined
+            assert "[pruned=2/3 chunks]" in scan_line
             # identity: scanned delta == delivered == M - N
-            assert delta == (8, 2), mode
+            assert delta == (1, 2), mode
