@@ -48,10 +48,11 @@ class EngineConfig:
     """
 
     execution_mode: str = "row"
-    """How the planner compiles: ``"row"`` (per-row closures, nested-loop
-    explicit joins) or ``"batch"`` (vectorized closures over whole
-    chunks, hash joins under the syntactic optimizer).  Every plan runs
-    through the same chunk protocol either way."""
+    """How the planner builds each operator's chunk closures: ``"row"``
+    (the per-row closure mapped over the chunk, nested-loop explicit
+    joins) or ``"batch"`` (vectorized closures, hash joins for explicit
+    equi-joins).  Operators see one closure shape and one chunk protocol
+    either way."""
     optimizer: str = "syntactic"
     """``"syntactic"`` (FROM order as written) or ``"cost"``."""
     join_strategy: str = "auto"

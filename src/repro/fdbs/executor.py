@@ -8,16 +8,24 @@ supplies the :class:`~repro.fdbs.expr.EvalContext` and the
 table-function invoker; :meth:`Plan.rows` flattens the chunks for
 consumers that materialise.
 
-``execution_mode`` only decides how the planner compiles — per-row
-:class:`~repro.fdbs.expr.CompiledExpr` calls, or vectorized ``batch_*``
-closures over whole chunks plus hash joins for explicit equi-joins —
-never the protocol, the relational semantics, the lateral
-(left-to-right) evaluation order, or the simulated cost accounting.
+Every expression an operator evaluates over its input rows (filter
+predicates, projections, group keys and aggregate arguments, sort keys,
+join keys) arrives as one chunk closure, a
+:data:`~repro.fdbs.expr.BatchFn` ``(chunk, ctx) -> values``.  The
+planner decides how that closure is built — a per-row closure mapped
+over the chunk or a vectorized one — so operators never see the
+execution mode.  Closures that must run once per combined or outer row
+stay per-row :class:`~repro.fdbs.expr.CompiledExpr` calls: nested-loop
+ON predicates, hash-join residuals, index-probe values and lateral
+table-function arguments (which keep the left-to-right invocation order
+the cost accounting depends on).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
+from operator import le
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from repro.errors import ExecutionError
@@ -475,15 +483,32 @@ def _join_key_part(value: object) -> object:
     return value.rstrip() if isinstance(value, str) else value
 
 
+def _keyed_chunks(
+    plan: Plan, key_fns: list[BatchFn], ctx: EvalContext, size: int
+) -> Iterator[tuple[list[tuple], list[tuple | None]]]:
+    """Yield ``(chunk, keys)`` pairs: one normalised key tuple per row,
+    None where any key column is NULL (NULL keys never match)."""
+    for chunk in plan.batches(ctx, size):
+        columns = [fn(chunk, ctx) for fn in key_fns]
+        keys: list[tuple | None] = []
+        for values in zip(*columns):
+            if None in values:
+                keys.append(None)
+            else:
+                keys.append(tuple(_join_key_part(value) for value in values))
+        yield chunk, keys
+
+
 class HashJoinPlan(Plan):
     """INNER / LEFT OUTER equi-join through an in-memory hash table.
 
-    The planner selects this operator (batch mode only) when the ON
-    clause carries at least one hash-compatible equi-conjunct; remaining
-    conjuncts become the ``residual`` predicate, evaluated against the
-    combined row exactly as the nested-loop join would.  Output order
-    matches the nested-loop join: left rows in input order, matching
-    right rows in right-input order.
+    The planner selects this operator when the ON clause (batch mode) or
+    the cost-based optimizer (comma joins) supplies at least one
+    hash-compatible equi-conjunct; remaining ON conjuncts become the
+    ``residual`` predicate, evaluated against the combined row exactly
+    as the nested-loop join would.  Output order matches the nested-loop
+    join: left rows in input order, matching right rows in right-input
+    order.
     """
 
     def __init__(
@@ -491,8 +516,8 @@ class HashJoinPlan(Plan):
         left: Plan,
         right: Plan,
         kind: str,
-        left_keys: list[CompiledExpr],
-        right_keys: list[CompiledExpr],
+        left_keys: list[BatchFn],
+        right_keys: list[BatchFn],
         residual: CompiledExpr | None = None,
         key_names: list[str] | None = None,
     ):
@@ -508,74 +533,39 @@ class HashJoinPlan(Plan):
         self.residual = residual
         self.key_names = key_names or []
         self.schema = left.schema + right.schema
-        #: Chunk-at-a-time closures for the left key columns (attached by
-        #: the planner in batch mode; evaluated against left rows only).
-        self.batch_left_keys: list[BatchFn] | None = None
 
     def _build(self, ctx: EvalContext, size: int) -> dict[tuple, list[tuple]]:
         """Materialise the right side into key buckets (NULLs never match)."""
         table: dict[tuple, list[tuple]] = {}
-        right_keys = self.right_keys
-        for right_row in self.right.rows(ctx, size):
-            values = [key(right_row, ctx) for key in right_keys]
-            if any(value is None for value in values):
-                continue
-            key = tuple(_join_key_part(value) for value in values)
-            bucket = table.get(key)
-            if bucket is None:
-                table[key] = [right_row]
-            else:
-                bucket.append(right_row)
+        for chunk, keys in _keyed_chunks(self.right, self.right_keys, ctx, size):
+            for right_row, key in zip(chunk, keys):
+                if key is None:
+                    continue
+                bucket = table.get(key)
+                if bucket is None:
+                    table[key] = [right_row]
+                else:
+                    bucket.append(right_row)
         return table
-
-    def _probe(
-        self,
-        left_row: tuple,
-        key: tuple | None,
-        table: dict[tuple, list[tuple]],
-        null_right: tuple,
-        ctx: EvalContext,
-        out: list[tuple],
-    ) -> None:
-        """Emit join results for one left row into ``out``."""
-        matched = False
-        if key is not None:
-            residual = self.residual
-            for right_row in table.get(key, ()):
-                combined = left_row + right_row
-                if residual is None or truthy(residual(combined, ctx)):
-                    matched = True
-                    out.append(combined)
-        if not matched and self.kind == "LEFT OUTER":
-            out.append(left_row + null_right)
-
-    def _left_key(self, left_row: tuple, ctx: EvalContext) -> tuple | None:
-        values = [key(left_row, ctx) for key in self.left_keys]
-        if any(value is None for value in values):
-            return None
-        return tuple(_join_key_part(value) for value in values)
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks by probing the hash table with left chunks."""
         table = self._build(ctx, size)
         null_right = (None,) * len(self.right.schema)
-        batch_keys = self.batch_left_keys
-        for chunk in self.left.batches(ctx, size):
+        residual = self.residual
+        left_outer = self.kind == "LEFT OUTER"
+        empty: tuple = ()
+        for chunk, keys in _keyed_chunks(self.left, self.left_keys, ctx, size):
             out: list[tuple] = []
-            if batch_keys is not None:
-                columns = [fn(chunk, ctx) for fn in batch_keys]
-                for index, left_row in enumerate(chunk):
-                    values = [column[index] for column in columns]
-                    if any(value is None for value in values):
-                        key = None
-                    else:
-                        key = tuple(_join_key_part(value) for value in values)
-                    self._probe(left_row, key, table, null_right, ctx, out)
-            else:
-                for left_row in chunk:
-                    self._probe(
-                        left_row, self._left_key(left_row, ctx), table, null_right, ctx, out
-                    )
+            for left_row, key in zip(chunk, keys):
+                matched = False
+                for right_row in table.get(key, empty):  # a None key misses
+                    combined = left_row + right_row
+                    if residual is None or truthy(residual(combined, ctx)):
+                        matched = True
+                        out.append(combined)
+                if not matched and left_outer:
+                    out.append(left_row + null_right)
             if out:
                 yield out
 
@@ -595,10 +585,10 @@ class MergeJoinPlan(Plan):
     The right side is materialised and checked for non-decreasing key
     order: a presorted input (insertion order, clustered key) skips the
     explicit sort the cost model priced in; otherwise a *stable* sort
-    groups equal keys while preserving scan order within each group.
-    The probe walks left rows in input order, locating each key's group
-    with a forward-merging cursor while the left keys arrive in
-    non-decreasing order and by bisection otherwise.  Output is
+    brings equal keys together while preserving their scan order.
+    The probe walks left rows in input order, locating each key's run
+    of equal keys with a forward-merging cursor while the left keys
+    arrive in non-decreasing order and by bisection otherwise.  Output is
     therefore left-major with matches in right-scan order —
     bit-identical rows to the nested-loop and hash plans.  NULL keys
     never match; mutually unorderable key values degrade to hashed
@@ -609,10 +599,9 @@ class MergeJoinPlan(Plan):
         self,
         left: Plan,
         right: Plan,
-        left_key: CompiledExpr,
+        left_key: BatchFn,
         right_key_index: int,
         key_name: str = "",
-        left_key_index: int | None = None,
         normalise: bool = True,
         sorted_hint: bool = False,
     ):
@@ -621,9 +610,6 @@ class MergeJoinPlan(Plan):
         self.left_key = left_key
         self.right_key_index = right_key_index
         self.key_name = key_name
-        #: Direct left-row position of the outer key (attached by the
-        #: planner for bare column refs; enables the no-closure probe).
-        self.left_key_index = left_key_index
         #: False for numeric keys, where ``_join_key_part`` is identity.
         self.normalise = normalise
         #: True when RUNSTATS saw the inner key column presorted (the
@@ -633,72 +619,40 @@ class MergeJoinPlan(Plan):
         self.sorts_applied = 0
         self.presorted_inputs = 0
 
-    def _prepare(self, ctx: EvalContext, size: int):
-        """Materialise the right side into ``(group_keys, group_rows,
-        buckets)``: sorted distinct keys with their row groups, or a
-        plain dict (``buckets``) when the keys defeat ordering."""
+    def _prepare(self, ctx: EvalContext, size: int) -> tuple[list, list[tuple], bool]:
+        """Materialise the right side as parallel ``(keys, rows, ordered)``
+        lists without NULL keys, stably sorted by key; ``ordered`` is
+        False (scan order kept) when the keys defeat ordering."""
         index = self.right_key_index
-        right_rows = self.right.rows(ctx, size)
+        rows = [row for row in self.right.rows(ctx, size) if row[index] is not None]
         if self.normalise:
-            pairs = [
-                (_join_key_part(row[index]), row)
-                for row in right_rows
-                if row[index] is not None
-            ]
+            keys = [_join_key_part(row[index]) for row in rows]
         else:
-            pairs = [
-                (row[index], row) for row in right_rows if row[index] is not None
-            ]
-        keys = [pair[0] for pair in pairs]
-        comparable = True
+            keys = [row[index] for row in rows]
         try:
-            presorted = all(a <= b for a, b in zip(keys, keys[1:]))
-        except TypeError:
-            comparable = False
-            presorted = False
-        if presorted:
-            self.presorted_inputs += 1
-        elif comparable:
-            try:
-                pairs.sort(key=_first_of_pair)  # stable: groups keep scan order
-                self.sorts_applied += 1
-            except TypeError:
-                comparable = False
-        if not comparable:
-            buckets: dict[object, list[tuple]] = {}
-            for key, row in pairs:
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [row]
-                else:
-                    bucket.append(row)
-            return None, None, buckets
-        group_keys: list = []
-        group_rows: list[list[tuple]] = []
-        for key, row in pairs:
-            if group_keys and key == group_keys[-1]:
-                group_rows[-1].append(row)
+            if all(map(le, keys, islice(keys, 1, None))):
+                self.presorted_inputs += 1
             else:
-                group_keys.append(key)
-                group_rows.append([row])
-        return group_keys, group_rows, None
+                # Stable: equal keys keep scan order.
+                order = sorted(range(len(keys)), key=keys.__getitem__)
+                keys = [keys[position] for position in order]
+                rows = [rows[position] for position in order]
+                self.sorts_applied += 1
+        except TypeError:
+            return keys, rows, False
+        return keys, rows, True
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks by merging left chunks against the grouped right."""
-        group_keys, group_rows, buckets = self._prepare(ctx, size)
-        left_index = self.left_key_index
+        """Yield chunks by merging left chunks against the sorted right."""
+        keys, rows, ordered = self._prepare(ctx, size)
         left_key = self.left_key
         normalise = self.normalise
-        if buckets is not None:
+        if not ordered:
+            buckets = _buckets(keys, rows)
             empty: tuple = ()
             for chunk in self.left.batches(ctx, size):
                 out: list[tuple] = []
-                for left_row in chunk:
-                    value = (
-                        left_row[left_index]
-                        if left_index is not None
-                        else left_key(left_row, ctx)
-                    )
+                for left_row, value in zip(chunk, left_key(chunk, ctx)):
                     if value is None:
                         continue
                     for right_row in buckets.get(_join_key_part(value), empty):
@@ -706,7 +660,7 @@ class MergeJoinPlan(Plan):
                 if out:
                     yield out
             return
-        n = len(group_keys)
+        n = len(keys)
         cursor = 0
         previous: object = None
         first = True
@@ -714,35 +668,31 @@ class MergeJoinPlan(Plan):
         for chunk in self.left.batches(ctx, size):
             out = []
             append = out.append
-            for left_row in chunk:
-                key = (
-                    left_row[left_index]
-                    if left_index is not None
-                    else left_key(left_row, ctx)
-                )
+            for left_row, key in zip(chunk, left_key(chunk, ctx)):
                 if key is None:
                     continue
                 if normalise:
                     key = _join_key_part(key)
                 try:
                     if first or key >= previous:
-                        while cursor < n and group_keys[cursor] < key:
+                        while cursor < n and keys[cursor] < key:
                             cursor += 1
                     else:  # left order regressed: bisect instead of rewind
-                        cursor = bisect_left(group_keys, key)
+                        cursor = bisect_left(keys, key)
                     first = False
                     previous = key
                 except TypeError:
-                    # A left key unorderable against the grouped keys can
+                    # A left key unorderable against the sorted keys can
                     # still match by equality — probe a lazy dict view.
                     if lookup is None:
-                        lookup = dict(zip(group_keys, group_rows))
+                        lookup = _buckets(keys, rows)
                     for right_row in lookup.get(key, ()):
                         append(left_row + right_row)
                     continue
-                if cursor < n and group_keys[cursor] == key:
-                    for right_row in group_rows[cursor]:
-                        append(left_row + right_row)
+                match = cursor
+                while match < n and keys[match] == key:
+                    append(left_row + rows[match])
+                    match += 1
             if out:
                 yield out
 
@@ -756,9 +706,16 @@ class MergeJoinPlan(Plan):
         return [self.left, self.right]
 
 
-def _first_of_pair(pair: tuple) -> object:
-    """Sort key for (key, row) pairs — rows themselves never compare."""
-    return pair[0]
+def _buckets(keys: list, rows: list[tuple]) -> dict[object, list[tuple]]:
+    """Group rows by key, each bucket in input order."""
+    buckets: dict[object, list[tuple]] = {}
+    for key, row in zip(keys, rows):
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [row]
+        else:
+            bucket.append(row)
+    return buckets
 
 
 class IndexNestedLoopJoinPlan(Plan):
@@ -780,7 +737,7 @@ class IndexNestedLoopJoinPlan(Plan):
         self,
         left: Plan,
         scan: TableScanPlan,
-        left_key: CompiledExpr,
+        left_key: BatchFn,
         column: str,
         key_name: str = "",
     ):
@@ -802,8 +759,7 @@ class IndexNestedLoopJoinPlan(Plan):
         cache: dict[object, list[tuple]] = {}
         for chunk in self.left.batches(ctx, size):
             out: list[tuple] = []
-            for left_row in chunk:
-                value = left_key(left_row, ctx)
+            for left_row, value in zip(chunk, left_key(chunk, ctx)):
                 if value is None:
                     continue
                 key = _join_key_part(value)
@@ -854,7 +810,7 @@ class RemoteBindJoinPlan(Plan):
         self,
         left: Plan,
         scan: RemoteScanPlan,
-        left_key: CompiledExpr,
+        left_key: BatchFn,
         bind_column: str,
         remote_key_index: int,
         max_keys: int = MAX_BIND_KEYS,
@@ -876,22 +832,28 @@ class RemoteBindJoinPlan(Plan):
         items: list[ast.Expression] = [ast.Literal(value) for value in key_values]
         return ast.InList(column, items).render()
 
-    def _distinct_keys(self, left_rows: list[tuple], ctx: EvalContext) -> list[object]:
-        """Distinct non-NULL outer key values in first-occurrence order."""
+    def _outer(self, ctx: EvalContext, size: int) -> tuple[list[tuple], list, list]:
+        """The materialised outer rows, their key values, and the
+        distinct non-NULL key values in first-occurrence order."""
+        left_rows = self.left.rows(ctx, size)
+        left_values = self.left_key(left_rows, ctx)
         key_values: list[object] = []
         seen: set = set()
-        for left_row in left_rows:
-            value = self.left_key(left_row, ctx)
+        for value in left_values:
             if value is None:
                 continue
             normalised = _join_key_part(value)
             if normalised not in seen:
                 seen.add(normalised)
                 key_values.append(value)
-        return key_values
+        return left_rows, left_values, key_values
 
     def _emit(
-        self, left_rows: list[tuple], ctx: EvalContext, predicates: list[str]
+        self,
+        left_rows: list[tuple],
+        left_values: list,
+        ctx: EvalContext,
+        predicates: list[str],
     ) -> list[tuple]:
         """Fetch the (possibly bound) remote side and hash-join it back:
         outer-major, remote matches in remote-scan order."""
@@ -904,8 +866,7 @@ class RemoteBindJoinPlan(Plan):
             bucket = buckets.setdefault(_join_key_part(value), [])
             bucket.append(remote_row)
         out: list[tuple] = []
-        for left_row in left_rows:
-            value = self.left_key(left_row, ctx)
+        for left_row, value in zip(left_rows, left_values):
             if value is None:
                 continue
             for remote_row in buckets.get(_join_key_part(value), ()):
@@ -914,8 +875,7 @@ class RemoteBindJoinPlan(Plan):
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Materialise the outer side, ship its keys, yield the join."""
-        left_rows = self.left.rows(ctx, size)
-        key_values = self._distinct_keys(left_rows, ctx)
+        left_rows, left_values, key_values = self._outer(ctx, size)
         if not key_values:
             return  # inner equality over all-NULL outer keys: no matches
         predicates = list(self.scan.pushed_predicates)
@@ -933,7 +893,7 @@ class RemoteBindJoinPlan(Plan):
             self.unbound_fetches += 1
             if layer is not None:
                 layer.bind_join_fallbacks += 1
-        yield from _chunked(self._emit(left_rows, ctx, predicates), size)
+        yield from _chunked(self._emit(left_rows, left_values, ctx, predicates), size)
 
     def _describe(self) -> str:
         return f"BindJoin({self.scan._name}, bind: {self.bind_column})"
@@ -961,7 +921,7 @@ class AdaptiveRemoteJoinPlan(RemoteBindJoinPlan):
         self,
         left: Plan,
         scan: RemoteScanPlan,
-        left_key: CompiledExpr,
+        left_key: BatchFn,
         bind_column: str,
         remote_key_index: int,
         est_build: int,
@@ -982,8 +942,7 @@ class AdaptiveRemoteJoinPlan(RemoteBindJoinPlan):
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Materialise the outer side, probe the build side's size, then
         join ship-all or — past the blowup factor — bound."""
-        left_rows = self.left.rows(ctx, size)
-        key_values = self._distinct_keys(left_rows, ctx)
+        left_rows, left_values, key_values = self._outer(ctx, size)
         if not key_values:
             return  # inner equality over all-NULL outer keys: no matches
         predicates = list(self.scan.pushed_predicates)
@@ -1003,7 +962,7 @@ class AdaptiveRemoteJoinPlan(RemoteBindJoinPlan):
                 self.note()
         else:
             self.unbound_fetches += 1
-        yield from _chunked(self._emit(left_rows, ctx, predicates), size)
+        yield from _chunked(self._emit(left_rows, left_values, ctx, predicates), size)
 
     def _describe(self) -> str:
         return (
@@ -1096,30 +1055,21 @@ class UdtfBindJoinPlan(Plan):
 class FilterPlan(Plan):
     """WHERE / HAVING filter."""
 
-    def __init__(self, input_plan: Plan, predicate: CompiledExpr, label: str = "Filter"):
+    def __init__(self, input_plan: Plan, predicate: BatchFn, label: str = "Filter"):
         self.input = input_plan
         self.predicate = predicate
         self.schema = input_plan.schema
         self._label = label
-        #: Chunk-at-a-time predicate (attached by the planner in batch mode).
-        self.batch_predicate: BatchFn | None = None
         #: Rendered texts of the conjuncts this filter evaluates locally
         #: after predicate pushdown split some off (attached by the
         #: planner so EXPLAIN shows the residual set explicitly).
         self.residual_texts: list[str] | None = None
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
-        """Yield chunks filtered through the vectorized predicate."""
-        batch_predicate = self.batch_predicate
-        if batch_predicate is None:
-            predicate = self.predicate
-            for chunk in self.input.batches(ctx, size):
-                out = [row for row in chunk if truthy(predicate(row, ctx))]
-                if out:
-                    yield out
-            return
+        """Yield the rows of each chunk whose predicate value is TRUE."""
+        predicate = self.predicate
         for chunk in self.input.batches(ctx, size):
-            mask = batch_predicate(chunk, ctx)
+            mask = predicate(chunk, ctx)
             out = [row for row, keep in zip(chunk, mask) if keep is True]
             if out:
                 yield out
@@ -1140,30 +1090,21 @@ class ProjectPlan(Plan):
     def __init__(
         self,
         input_plan: Plan,
-        exprs: list[CompiledExpr],
+        exprs: list[BatchFn],
         schema: list[ColumnSlot],
     ):
         self.input = input_plan
         self.exprs = exprs
         self.schema = schema
-        #: Chunk-at-a-time column closures (attached by the planner in
-        #: batch mode); one per select-list expression.
-        self.batch_exprs: list[BatchFn] | None = None
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks projected column-wise."""
-        batch_exprs = self.batch_exprs
-        if batch_exprs is None:
-            exprs = self.exprs
-            for chunk in self.input.batches(ctx, size):
-                yield [tuple(expr(row, ctx) for expr in exprs) for row in chunk]
-            return
+        exprs = self.exprs
         for chunk in self.input.batches(ctx, size):
-            if not batch_exprs:
+            if not exprs:
                 yield [()] * len(chunk)
                 continue
-            columns = [fn(chunk, ctx) for fn in batch_exprs]
-            yield list(zip(*columns))
+            yield list(zip(*[fn(chunk, ctx) for fn in exprs]))
 
     def _describe(self) -> str:
         return f"Project({', '.join(s.name for s in self.schema)})"
@@ -1173,14 +1114,24 @@ class ProjectPlan(Plan):
 
 
 class AggregateSpec:
-    """One aggregate computation: function name and input expression."""
+    """One aggregate computation: function name and input expression.
 
-    def __init__(self, name: str, arg: CompiledExpr | None, distinct: bool = False):
+    ``fold_chunks`` lets SUM/MIN/MAX fold a whole chunk with the C-level
+    builtins; without it values fold one at a time, so float sums
+    accumulate in row order.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        arg: BatchFn | None,
+        distinct: bool = False,
+        fold_chunks: bool = False,
+    ):
         self.name = name.upper()
         self.arg = arg  # None means COUNT(*)
         self.distinct = distinct
-        #: Chunk-at-a-time closure for ``arg`` (attached in batch mode).
-        self.batch_arg: BatchFn | None = None
+        self.fold_chunks = fold_chunks
 
     def new_state(self) -> "_AggState":
         """Fresh running state for one group."""
@@ -1221,18 +1172,16 @@ class _AggState:
         """Fold a whole chunk of argument values at once.
 
         ``values`` is None for COUNT(*) (``count`` rows, no argument).
-        Batch-compiled SUM/MIN/MAX over plain numeric chunks use the
-        C-level builtins; anything they cannot fold (mixed or exotic
-        operand types) falls back to the exact per-value path.  Row
-        compilation always folds value by value, so its float sums
-        accumulate in row order.
+        With ``fold_chunks`` set, SUM/MIN/MAX over plain numeric chunks
+        use the C-level builtins; anything they cannot fold (mixed or
+        exotic operand types) falls back to the exact per-value path.
         """
         if self.spec.arg is None:
             self.count += count
             return
         assert values is not None
-        # DISTINCT must see every value in order; so must row compilation.
-        if self.seen is not None or self.spec.batch_arg is None:
+        # DISTINCT must see every value in order; so must a value-wise fold.
+        if self.seen is not None or not self.spec.fold_chunks:
             for value in values:
                 self.update_value(value)
             return
@@ -1271,12 +1220,9 @@ class _AggState:
         if name == "AVG":
             if self.count == 0:
                 return None
-            total = self.total
-            if isinstance(total, int):
-                # SQL: AVG over integers keeps integer semantics in DB2;
-                # we return a float for usability and document it.
-                return total / self.count
-            return total / self.count  # type: ignore[operator]
+            # Always a float: unlike DB2, AVG over integers does not
+            # truncate to an integer.
+            return self.total / self.count  # type: ignore[operator]
         if name in ("MIN", "MAX"):
             return self.best
         raise ExecutionError(f"unknown aggregate {name}")  # pragma: no cover
@@ -1293,7 +1239,7 @@ class AggregatePlan(Plan):
     def __init__(
         self,
         input_plan: Plan,
-        group_exprs: list[CompiledExpr],
+        group_exprs: list[BatchFn],
         aggregates: list[AggregateSpec],
         schema: list[ColumnSlot],
     ):
@@ -1301,20 +1247,13 @@ class AggregatePlan(Plan):
         self.group_exprs = group_exprs
         self.aggregates = aggregates
         self.schema = schema
-        #: Chunk-at-a-time closures for the group keys (batch mode).
-        self.batch_group: list[BatchFn] | None = None
 
     def _argument_columns(self, chunk: list[tuple], ctx: EvalContext) -> list[list | None]:
         """One evaluated value column per aggregate (None for COUNT(*))."""
-        columns: list[list | None] = []
-        for spec in self.aggregates:
-            if spec.arg is None:
-                columns.append(None)
-            elif spec.batch_arg is not None:
-                columns.append(spec.batch_arg(chunk, ctx))
-            else:
-                columns.append([spec.arg(row, ctx) for row in chunk])
-        return columns
+        return [
+            None if spec.arg is None else spec.arg(chunk, ctx)
+            for spec in self.aggregates
+        ]
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Yield chunks of aggregated rows, folding input chunk-wise."""
@@ -1328,15 +1267,9 @@ class AggregatePlan(Plan):
             return
         groups: dict[tuple, list[_AggState]] = {}
         order: list[tuple] = []
-        batch_group = self.batch_group
+        group_exprs = self.group_exprs
         for chunk in self.input.batches(ctx, size):
-            if batch_group is not None:
-                key_columns = [fn(chunk, ctx) for fn in batch_group]
-                keys = list(zip(*key_columns))
-            else:
-                keys = [
-                    tuple(expr(row, ctx) for expr in self.group_exprs) for row in chunk
-                ]
+            keys = list(zip(*[fn(chunk, ctx) for fn in group_exprs]))
             columns = self._argument_columns(chunk, ctx)
             for index, key in enumerate(keys):
                 states = groups.get(key)
@@ -1359,29 +1292,30 @@ class AggregatePlan(Plan):
 class SortPlan(Plan):
     """Sorts on key extractors over the input rows.
 
-    Keys are either integer positions or callables ``(row, ctx) ->
-    value`` (used for ORDER BY expressions compiled against the output
-    schema).
+    Keys are either integer positions or chunk closures (ORDER BY
+    expressions compiled against the output schema), each evaluated once
+    over the materialised input.
     """
 
     def __init__(
         self,
         input_plan: Plan,
-        keys: list[tuple[int | Callable[[tuple, EvalContext], object], bool]],
+        keys: list[tuple[int | BatchFn, bool]],
     ):
         self.input = input_plan
         self.keys = keys  # (position or extractor, ascending)
         self.schema = input_plan.schema
 
     def _sorted(self, materialised: list[tuple], ctx: EvalContext) -> list[tuple]:
-        # Stable multi-key sort: apply keys right-to-left.
+        # Stable multi-key sort of row positions: apply keys right-to-left.
+        order = list(range(len(materialised)))
         for key, ascending in reversed(self.keys):
             if isinstance(key, int):
-                extractor = lambda row, _pos=key: _SortKey(row[_pos])
+                wrapped = [_SortKey(row[key]) for row in materialised]
             else:
-                extractor = lambda row, _fn=key: _SortKey(_fn(row, ctx))
-            materialised.sort(key=extractor, reverse=not ascending)
-        return materialised
+                wrapped = [_SortKey(value) for value in key(materialised, ctx)]
+            order.sort(key=wrapped.__getitem__, reverse=not ascending)
+        return [materialised[index] for index in order]
 
     def batches(self, ctx: EvalContext, size: int = BATCH_SIZE) -> Iterator[list[tuple]]:
         """Materialise input chunks, sort once, re-chunk the output."""

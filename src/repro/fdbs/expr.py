@@ -720,6 +720,11 @@ class ExpressionCompiler:
 #: Python-level call, returning one value per input row.
 BatchFn = Callable[[list, EvalContext], list]
 
+
+def map_rows(fn: EvalFn) -> BatchFn:
+    """Lift a per-row closure to a chunk closure (one call per row)."""
+    return lambda chunk, ctx: [fn(row, ctx) for row in chunk]
+
 #: Integer ladders of the exact (non-DECIMAL) numeric types; DOUBLE sits
 #: above them.  Used for hash-join key compatibility checks.
 _INT_LADDERS = frozenset({1, 2, 3})
@@ -744,12 +749,17 @@ class BatchCompiler:
     def __init__(self, row_compiler: "ExpressionCompiler"):
         self.row = row_compiler
 
-    def compile(self, expr: ast.Expression) -> BatchFn:
-        """Compile one expression into a guarded chunk closure."""
-        row_fn = self.row.compile(expr).fn  # raises on invalid expressions
+    def compile(self, expr: ast.Expression, compiled: CompiledExpr) -> BatchFn:
+        """Compile one expression into a guarded chunk closure.
+
+        ``compiled`` is the row compilation of ``expr`` (the caller has
+        already validated the expression through it); its closure is the
+        fallback wherever the fast path cannot evaluate a chunk.
+        """
+        row_fn = compiled.fn
         fast, _ = self._compile(expr)
         if fast is None:
-            return lambda chunk, ctx: [row_fn(row, ctx) for row in chunk]
+            return map_rows(row_fn)
 
         def guarded(chunk: list, ctx: EvalContext) -> list:
             try:
@@ -775,8 +785,7 @@ class BatchCompiler:
         fast, _ = self._compile(expr)
         if fast is not None:
             return fast
-        row_fn = self.row.compile(expr).fn
-        return lambda chunk, ctx: [row_fn(row, ctx) for row in chunk]
+        return map_rows(self.row.compile(expr).fn)
 
     def _type_of(self, expr: ast.Expression) -> SqlType | None:
         try:

@@ -64,9 +64,10 @@ from repro.fdbs.expr import (
     contains_aggregate,
     hash_join_compatible,
     is_aggregate_call,
+    map_rows,
     order_join_compatible,
 )
-from repro.fdbs.types import implicitly_castable, is_numeric
+from repro.fdbs.types import SqlType, implicitly_castable, is_numeric
 
 RemoteFetcher = Callable[
     [NicknameDef], tuple[Callable[[EvalContext], list[tuple]], list[ColumnDef]]
@@ -122,11 +123,18 @@ class Planner:
         self.adaptive_note = adaptive_note
         self._view_stack: list[str] = []
 
-    def _batch(self, compiler: ExpressionCompiler, expr: ast.Expression) -> BatchFn | None:
-        """Batch-compile ``expr`` when planning for batch execution."""
-        if self.config.execution_mode != "batch":
-            return None
-        return BatchCompiler(compiler).compile(expr)
+    def _chunk(
+        self,
+        compiler: ExpressionCompiler,
+        expr: ast.Expression,
+        compiled: CompiledExpr,
+    ) -> BatchFn:
+        """The chunk closure an operator evaluates ``expr`` through:
+        vectorized in batch mode, the row closure ``compiled`` (``expr``
+        compiled by ``compiler``) mapped over the chunk otherwise."""
+        if self.config.execution_mode == "batch":
+            return BatchCompiler(compiler).compile(expr, compiled)
+        return map_rows(compiled.fn)
 
     # -- public API -----------------------------------------------------------
 
@@ -201,8 +209,11 @@ class Planner:
         if where is not None:
             self._attach_zone_checks(where, layout, prunable)
             input_est = plan.est_rows
-            plan = FilterPlan(plan, compiler.compile(where), "Filter(WHERE)")
-            plan.batch_predicate = self._batch(compiler, where)
+            plan = FilterPlan(
+                plan,
+                self._chunk(compiler, where, compiler.compile(where)),
+                "Filter(WHERE)",
+            )
             if had_remote and config.pushdown:
                 from repro.fdbs.pushdown import split_conjuncts
 
@@ -230,14 +241,17 @@ class Planner:
             )
             compiler = self._compiler(layout)
             if having is not None:
-                plan = FilterPlan(plan, compiler.compile(having), "Filter(HAVING)")
-                plan.batch_predicate = self._batch(compiler, having)
+                plan = FilterPlan(
+                    plan,
+                    self._chunk(compiler, having, compiler.compile(having)),
+                    "Filter(HAVING)",
+                )
 
-        exprs: list[CompiledExpr] = []
+        exprs: list[BatchFn] = []
         schema: list[ColumnSlot] = []
         for position, item in enumerate(items):
             compiled = compiler.compile(item.expr)
-            exprs.append(compiled)
+            exprs.append(self._chunk(compiler, item.expr, compiled))
             # Keep the source alias on plain column projections so ORDER BY
             # may still use qualified names after projection.
             alias = None
@@ -251,14 +265,10 @@ class Planner:
 
         if top_level and order_by:
             plan = self._project_and_sort(
-                plan, layout, exprs, schema, select, items, order_by
+                plan, layout, exprs, schema, select, order_by
             )
         else:
             plan = ProjectPlan(plan, exprs, schema)
-            if self.config.execution_mode == "batch":
-                plan.batch_exprs = [
-                    self._batch(compiler, item.expr) for item in items
-                ]
 
         if select.distinct:
             plan = DistinctPlan(plan)
@@ -270,10 +280,9 @@ class Planner:
         self,
         plan: Plan,
         layout: RowLayout,
-        exprs: list[CompiledExpr],
+        exprs: list[BatchFn],
         schema: list[ColumnSlot],
         select: ast.Select,
-        items: list[ast.SelectItem],
         order_by: list[ast.OrderItem],
     ) -> Plan:
         """Projection + ORDER BY for a single query block.
@@ -286,11 +295,11 @@ class Planner:
         aggregate's output columns when the block aggregates.
         """
         width = len(schema)
-        output_layout = RowLayout(schema)
-        out_compiler = self._compiler(output_layout)
+        out_compiler = self._compiler(RowLayout(schema))
+        input_compiler = self._compiler(layout)
         keys: list[tuple] = []
-        hidden: list[CompiledExpr] = []
-        hidden_asts: list[ast.Expression] = []
+        hidden_slots: list[ColumnSlot] = []
+        hidden_fns: list[BatchFn] = []
         for order_item in order_by:
             expr = order_item.expr
             if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
@@ -303,39 +312,29 @@ class Planner:
                 continue
             try:
                 compiled = out_compiler.compile(expr)
-                keys.append((compiled.fn, order_item.ascending))
-                continue
             except PlanError:
                 pass
+            else:
+                keys.append(
+                    (self._chunk(out_compiler, expr, compiled), order_item.ascending)
+                )
+                continue
             # Hidden sort key over the pre-projection layout.
             if select.distinct:
                 raise PlanError(
                     "ORDER BY over non-selected columns cannot be combined "
                     "with DISTINCT"
                 )
-            compiled = self._compiler(layout).compile(expr)
-            keys.append((width + len(hidden), order_item.ascending))
-            hidden.append(compiled)
-            hidden_asts.append(expr)
-        input_compiler = self._compiler(layout)
-        if hidden:
-            extended_schema = schema + [
-                ColumnSlot(None, f"$k{index}", compiled.type)
-                for index, compiled in enumerate(hidden)
-            ]
-            plan = ProjectPlan(plan, exprs + hidden, extended_schema)
-            if self.config.execution_mode == "batch":
-                plan.batch_exprs = [
-                    self._batch(input_compiler, item.expr) for item in items
-                ] + [self._batch(input_compiler, expr) for expr in hidden_asts]
-            plan = SortPlan(plan, keys)
-            return CutPlan(plan, width, schema)
-        plan = ProjectPlan(plan, exprs, schema)
-        if self.config.execution_mode == "batch":
-            plan.batch_exprs = [
-                self._batch(input_compiler, item.expr) for item in items
-            ]
-        return SortPlan(plan, keys)
+            compiled = input_compiler.compile(expr)
+            keys.append((width + len(hidden_fns), order_item.ascending))
+            hidden_slots.append(
+                ColumnSlot(None, f"$k{len(hidden_fns)}", compiled.type)
+            )
+            hidden_fns.append(self._chunk(input_compiler, expr, compiled))
+        if hidden_fns:
+            plan = ProjectPlan(plan, exprs + hidden_fns, schema + hidden_slots)
+            return CutPlan(SortPlan(plan, keys), width, schema)
+        return SortPlan(ProjectPlan(plan, exprs, schema), keys)
 
     def _expand_stars(
         self, items: list[ast.SelectItem], layout: RowLayout
@@ -425,71 +424,9 @@ class Planner:
         exec_items = [item for _, item in ordered]
         running_est: float | None = 1.0 if decisions is not None else None
         for position, (original_index, item) in enumerate(ordered):
-            spec = (
-                decisions.bind_remote.get(original_index)
-                if decisions is not None
-                else None
-            )
-            bind_built = None
-            if (
-                spec is not None
-                and isinstance(item, ast.TableRef)
-                and self.catalog.has_nickname(item.name)
-            ):
-                scan = self._plan_table_ref(item)
-                if isinstance(scan, RemoteScanPlan):
-                    bind_plan = self._try_remote_bind(plan, layout, scan, spec)
-                    if bind_plan is not None:
-                        bind_built = (scan, bind_plan)
-            local_spec = (
-                decisions.local_join.get(original_index)
-                if decisions is not None
-                else None
-            )
-            local_built = None
-            if (
-                bind_built is None
-                and local_spec is not None
-                and isinstance(item, ast.TableRef)
-                and self.catalog.has_table(item.name)
-            ):
-                scan = self._plan_table_ref(item)
-                if isinstance(scan, TableScanPlan):
-                    join_plan = self._try_local_join(plan, layout, scan, local_spec)
-                    if join_plan is not None:
-                        local_built = (scan, join_plan)
-            adaptive_spec = (
-                decisions.adaptive_remote.get(original_index)
-                if decisions is not None
-                else None
-            )
-            adaptive_built = None
-            if (
-                bind_built is None
-                and local_built is None
-                and adaptive_spec is not None
-                and self.config.adaptive_factor is not None
-                and isinstance(item, ast.TableRef)
-                and self.catalog.has_nickname(item.name)
-            ):
-                scan = self._plan_table_ref(item)
-                if isinstance(scan, RemoteScanPlan):
-                    est_build = _round_est(decisions.est_scan.get(original_index))
-                    if est_build is not None:
-                        adaptive_plan = self._try_adaptive_bind(
-                            plan, layout, scan, adaptive_spec, est_build
-                        )
-                        if adaptive_plan is not None:
-                            adaptive_built = (scan, adaptive_plan)
-            if bind_built is not None:
-                right = None
-                right_schema = bind_built[0].schema
-            elif local_built is not None:
-                right = None
-                right_schema = local_built[0].schema
-            elif adaptive_built is not None:
-                right = None
-                right_schema = adaptive_built[0].schema
+            built = self._try_cost_join(plan, layout, item, original_index, decisions)
+            if built is not None:
+                right_schema = built[0].schema
             else:
                 right, right_schema = self._plan_from_item(
                     item, layout, exec_items, position, prunable
@@ -503,22 +440,12 @@ class Planner:
                     f"duplicate correlation name {sorted(duplicate)[0]!r} in FROM"
                 )
             seen_aliases |= alias_names
-            if bind_built is not None:
-                scan, bind_plan = bind_built
-                for alias in alias_names:
-                    remote_candidates[alias] = scan
-                consumed.append(spec.conjunct)
-                item_est = decisions.est_scan.get(original_index)
-                scan.est_rows = _round_est(item_est)
-                if running_est is not None:
-                    running_est *= spec.est_match_per_key
-                    bind_plan.est_rows = _round_est(running_est)
-                plan = bind_plan
-                layout = layout.extend(right_schema)
-                continue
-            if local_built is not None:
-                scan, join_plan = local_built
-                if local_spec.strategy in ("hash", "merge"):
+            if built is not None:
+                scan, join_plan, spec = built
+                if isinstance(scan, RemoteScanPlan):
+                    for alias in alias_names:
+                        remote_candidates[alias] = scan
+                elif spec.strategy in ("hash", "merge"):
                     # Hash and merge joins pull the inner side through
                     # the scan's ``batches()``, so index probes and zone
                     # checks still apply.  IndexNLJ bypasses the scan protocol
@@ -527,27 +454,14 @@ class Planner:
                     for alias in alias_names:
                         local_scans[alias] = scan
                     self._register_prunable(prunable, scan)
-                consumed.append(local_spec.conjunct)
-                item_est = decisions.est_scan.get(original_index)
-                scan.est_rows = _round_est(item_est)
+                consumed.append(spec.conjunct)
+                scan.est_rows = _round_est(decisions.est_scan.get(original_index))
                 if running_est is not None:
-                    running_est *= local_spec.est_match_per_key
+                    running_est *= spec.est_match_per_key
                     join_plan.est_rows = _round_est(running_est)
-                self._count_join(local_spec.strategy)
+                if isinstance(scan, TableScanPlan):
+                    self._count_join(spec.strategy)
                 plan = join_plan
-                layout = layout.extend(right_schema)
-                continue
-            if adaptive_built is not None:
-                scan, adaptive_plan = adaptive_built
-                for alias in alias_names:
-                    remote_candidates[alias] = scan
-                consumed.append(adaptive_spec.conjunct)
-                item_est = decisions.est_scan.get(original_index)
-                scan.est_rows = _round_est(item_est)
-                if running_est is not None:
-                    running_est *= adaptive_spec.est_match_per_key
-                    adaptive_plan.est_rows = _round_est(running_est)
-                plan = adaptive_plan
                 layout = layout.extend(right_schema)
                 continue
             # Only top-level (comma) remote scans are pushdown targets;
@@ -648,143 +562,98 @@ class Planner:
                 continue
             scan.prune_checks.append((position, check, conjunct.render()))
 
+    def _count_join(self, strategy: str) -> None:
+        if self.join_counter is not None:
+            self.join_counter(strategy)
+
+    def _try_cost_join(
+        self,
+        left: Plan,
+        layout: RowLayout,
+        item: ast.FromItem,
+        index: int,
+        decisions,
+    ) -> "tuple[Plan, Plan, object] | None":
+        """Build the cost-selected join into one comma-joined nickname or
+        base table as ``(scan, join plan, decision)``: a bind join, else
+        an adaptive ship-all join for a nickname; a hash, merge or index
+        nested-loop join for a table.  None keeps the syntactic
+        cross-apply fold."""
+        if decisions is None or not isinstance(item, ast.TableRef):
+            return None
+        if self.catalog.has_nickname(item.name):
+            attempts = [(decisions.bind_remote.get(index), None)]
+            est_build = _round_est(decisions.est_scan.get(index))
+            if self.config.adaptive_factor is not None and est_build is not None:
+                attempts.append((decisions.adaptive_remote.get(index), est_build))
+            scan = None
+            for spec, est in attempts:
+                if spec is None:
+                    continue
+                if scan is None:
+                    scan = self._plan_table_ref(item)
+                join = self._try_remote_bind(left, layout, scan, spec, est)
+                if join is not None:
+                    return scan, join, spec
+            return None
+        spec = decisions.local_join.get(index)
+        if spec is None or not self.catalog.has_table(item.name):
+            return None
+        scan = self._plan_table_ref(item)
+        join = self._try_local_join(left, layout, scan, spec)
+        return None if join is None else (scan, join, spec)
+
+    def _outer_key(
+        self, layout: RowLayout, scan: Plan, spec, inner_column: str
+    ) -> "tuple[int, SqlType | None, BatchFn] | None":
+        """``(inner position, outer key type, outer key closure)`` for a
+        cost-selected equi-join of the running layout with ``scan`` on
+        ``inner_column``; None when the column is missing, the outer key
+        does not compile, or the two key types do not hash alike."""
+        inner_index = next(
+            (
+                position
+                for position, slot in enumerate(scan.schema)
+                if slot.name.upper() == inner_column.upper()
+            ),
+            None,
+        )
+        if inner_index is None:
+            return None
+        key_ast = ast.ColumnRef(spec.outer_qualifier, spec.outer_column)
+        compiler = self._compiler(layout)
+        try:
+            compiled = compiler.compile(key_ast)
+        except (PlanError, TypeError_):
+            return None
+        if not hash_join_compatible(compiled.type, scan.schema[inner_index].type):
+            return None
+        return inner_index, compiled.type, self._chunk(compiler, key_ast, compiled)
+
     def _try_remote_bind(
         self,
         left: Plan,
         layout: RowLayout,
         scan: RemoteScanPlan,
         spec,
+        est_build: int | None = None,
     ) -> RemoteBindJoinPlan | None:
-        """Build the bind join when the outer key compiles against the
-        running layout and hashes compatibly with the remote column;
-        None falls back to the ordinary static scan."""
-        remote_index = None
-        for index, slot in enumerate(scan.schema):
-            if slot.name.upper() == spec.bind_column.upper():
-                remote_index = index
-                break
-        if remote_index is None:
+        """Build the bind join (or, given ``est_build``, the adaptive
+        ship-all join with its mid-query bind-join escape hatch); None
+        keeps the plain static remote scan."""
+        keyed = self._outer_key(layout, scan, spec, spec.bind_column)
+        if keyed is None:
             return None
-        try:
-            left_key = self._compiler(layout).compile(
-                ast.ColumnRef(spec.outer_qualifier, spec.outer_column)
-            )
-        except (PlanError, TypeError_):
-            return None
-        if not hash_join_compatible(left_key.type, scan.schema[remote_index].type):
-            return None
+        remote_index, _, left_key = keyed
         profile = getattr(scan.fetcher, "profile", None)
         max_keys = MAX_BIND_KEYS
         if profile is not None and profile.max_bind_keys is not None:
             max_keys = profile.max_bind_keys
-        return RemoteBindJoinPlan(
-            left, scan, left_key, spec.bind_column, remote_index,
-            max_keys=max_keys,
-        )
-
-    def _count_join(self, strategy: str) -> None:
-        if self.join_counter is not None:
-            self.join_counter(strategy)
-
-    def _try_local_join(
-        self,
-        left: Plan,
-        layout: RowLayout,
-        scan: TableScanPlan,
-        spec,
-    ) -> Plan | None:
-        """Build the cost-selected local join operator (hash, merge or
-        index nested-loop) when the outer key compiles against the
-        running layout and the key types are compatible with the chosen
-        strategy; None falls back to the syntactic cross-apply fold."""
-        inner_index = None
-        for index, slot in enumerate(scan.schema):
-            if slot.name.upper() == spec.inner_column.upper():
-                inner_index = index
-                break
-        if inner_index is None:
-            return None
-        key_ast = ast.ColumnRef(spec.outer_qualifier, spec.outer_column)
-        left_compiler = self._compiler(layout)
-        try:
-            left_key = left_compiler.compile(key_ast)
-        except (PlanError, TypeError_):
-            return None
-        inner_type = scan.schema[inner_index].type
-        if not hash_join_compatible(left_key.type, inner_type):
-            return None
-        key_name = spec.conjunct.render()
-        numeric = is_numeric(left_key.type) and is_numeric(inner_type)
-        if spec.strategy == "indexnlj":
-            if not numeric:
-                return None
-            return IndexNestedLoopJoinPlan(
-                left, scan, left_key, scan.schema[inner_index].name, key_name
+        if est_build is None:
+            return RemoteBindJoinPlan(
+                left, scan, left_key, spec.bind_column, remote_index,
+                max_keys=max_keys,
             )
-        if spec.strategy == "merge":
-            if not order_join_compatible(left_key.type, inner_type):
-                return None
-            left_pos = None
-            try:
-                resolved = layout.resolve(spec.outer_qualifier, spec.outer_column)
-                if resolved is not None:
-                    left_pos = resolved[0]
-            except PlanError:
-                left_pos = None
-            return MergeJoinPlan(
-                left,
-                scan,
-                left_key,
-                inner_index,
-                key_name,
-                left_key_index=left_pos,
-                normalise=not numeric,
-                sorted_hint=spec.sorted_hint,
-            )
-        if spec.strategy != "hash":
-            return None
-        inner_slot = scan.schema[inner_index]
-        try:
-            right_key = self._compiler(RowLayout(scan.schema)).compile(
-                ast.ColumnRef(inner_slot.alias, inner_slot.name)
-            )
-        except (PlanError, TypeError_):
-            return None
-        plan = HashJoinPlan(
-            left, scan, "INNER", [left_key], [right_key], None, [key_name]
-        )
-        plan.batch_left_keys = [BatchCompiler(left_compiler).compile(key_ast)]
-        return plan
-
-    def _try_adaptive_bind(
-        self,
-        left: Plan,
-        layout: RowLayout,
-        scan: RemoteScanPlan,
-        spec,
-        est_build: int,
-    ) -> AdaptiveRemoteJoinPlan | None:
-        """Build the ship-all remote join with a mid-query bind-join
-        escape hatch; None keeps the plain static remote scan."""
-        remote_index = None
-        for index, slot in enumerate(scan.schema):
-            if slot.name.upper() == spec.bind_column.upper():
-                remote_index = index
-                break
-        if remote_index is None:
-            return None
-        try:
-            left_key = self._compiler(layout).compile(
-                ast.ColumnRef(spec.outer_qualifier, spec.outer_column)
-            )
-        except (PlanError, TypeError_):
-            return None
-        if not hash_join_compatible(left_key.type, scan.schema[remote_index].type):
-            return None
-        profile = getattr(scan.fetcher, "profile", None)
-        max_keys = MAX_BIND_KEYS
-        if profile is not None and profile.max_bind_keys is not None:
-            max_keys = profile.max_bind_keys
         return AdaptiveRemoteJoinPlan(
             left,
             scan,
@@ -795,6 +664,47 @@ class Planner:
             blowup_factor=self.config.adaptive_factor,
             max_keys=max_keys,
             note=self.adaptive_note,
+        )
+
+    def _try_local_join(
+        self,
+        left: Plan,
+        layout: RowLayout,
+        scan: TableScanPlan,
+        spec,
+    ) -> Plan | None:
+        """Build the cost-selected local join operator (hash, merge or
+        index nested-loop) when the key types suit the chosen strategy;
+        None falls back to the syntactic cross-apply fold."""
+        keyed = self._outer_key(layout, scan, spec, spec.inner_column)
+        if keyed is None:
+            return None
+        inner_index, outer_type, left_key = keyed
+        inner_slot = scan.schema[inner_index]
+        key_name = spec.conjunct.render()
+        numeric = is_numeric(outer_type) and is_numeric(inner_slot.type)
+        if spec.strategy == "indexnlj":
+            if not numeric:
+                return None
+            return IndexNestedLoopJoinPlan(
+                left, scan, left_key, inner_slot.name, key_name
+            )
+        if spec.strategy == "merge":
+            if not order_join_compatible(outer_type, inner_slot.type):
+                return None
+            return MergeJoinPlan(
+                left,
+                scan,
+                left_key,
+                inner_index,
+                key_name,
+                normalise=not numeric,
+                sorted_hint=spec.sorted_hint,
+            )
+        if spec.strategy != "hash":
+            return None
+        return HashJoinPlan(
+            left, scan, "INNER", [left_key], [_slot_batch(inner_index)], None, [key_name]
         )
 
     def _select_indexes(
@@ -989,10 +899,9 @@ class Planner:
         right_layout = RowLayout(right.schema)
         left_compiler = self._compiler(left_layout)
         right_compiler = self._compiler(right_layout)
-        left_keys: list[CompiledExpr] = []
-        right_keys: list[CompiledExpr] = []
+        left_keys: list[BatchFn] = []
+        right_keys: list[BatchFn] = []
         key_names: list[str] = []
-        key_asts: list[ast.Expression] = []
         residual: list[ast.Expression] = []
         for conjunct in split_conjuncts(item.on):
             pair = self._equi_key(
@@ -1001,11 +910,10 @@ class Planner:
             if pair is None:
                 residual.append(conjunct)
                 continue
-            left_ast, left_key, right_key = pair
+            left_key, right_key = pair
             left_keys.append(left_key)
             right_keys.append(right_key)
             key_names.append(conjunct.render())
-            key_asts.append(left_ast)
         if not left_keys:
             return None
         residual_expr = recombine(residual)
@@ -1015,12 +923,9 @@ class Planner:
             if residual_expr is not None
             else None
         )
-        plan = HashJoinPlan(
+        return HashJoinPlan(
             left, right, item.kind, left_keys, right_keys, residual_compiled, key_names
         )
-        batch = BatchCompiler(left_compiler)
-        plan.batch_left_keys = [batch.compile(key_ast) for key_ast in key_asts]
-        return plan
 
     def _equi_key(
         self,
@@ -1029,10 +934,10 @@ class Planner:
         right_compiler: ExpressionCompiler,
         left_layout: RowLayout,
         right_layout: RowLayout,
-    ) -> tuple[ast.Expression, CompiledExpr, CompiledExpr] | None:
-        """(left ast, left key, right key) for ``left_side = right_side``
-        conjuncts whose sides each touch only one join input; None sends
-        the conjunct to the residual predicate."""
+    ) -> tuple[BatchFn, BatchFn] | None:
+        """(left key, right key) chunk closures for ``left_side =
+        right_side`` conjuncts whose sides each touch only one join
+        input; None sends the conjunct to the residual predicate."""
         if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
             return None
         sides = (
@@ -1048,7 +953,10 @@ class Planner:
                 # The row-mode comparison would align these operands
                 # (e.g. DECIMAL vs DOUBLE); a raw hash probe would not.
                 return None
-            return first, left_key, right_key
+            return (
+                self._chunk(left_compiler, first, left_key),
+                self._chunk(right_compiler, second, right_key),
+            )
         return None
 
     def _side_key(
@@ -1229,6 +1137,7 @@ class Planner:
             collect(order_item.expr)
 
         group_compiled = [compiler.compile(e) for e in select.group_by]
+        fold_chunks = self.config.execution_mode == "batch"
         agg_specs: list[AggregateSpec] = []
         for call in aggregates:
             name = call.name.upper()
@@ -1239,9 +1148,15 @@ class Planner:
             elif len(call.args) == 1:
                 if contains_aggregate(call.args[0]):
                     raise PlanError("aggregates cannot be nested")
-                spec = AggregateSpec(name, compiler.compile(call.args[0]), call.distinct)
-                spec.batch_arg = self._batch(compiler, call.args[0])
-                agg_specs.append(spec)
+                arg = call.args[0]
+                agg_specs.append(
+                    AggregateSpec(
+                        name,
+                        self._chunk(compiler, arg, compiler.compile(arg)),
+                        call.distinct,
+                        fold_chunks,
+                    )
+                )
             else:
                 raise PlanError(f"aggregate {call.name} takes exactly one argument")
 
@@ -1251,11 +1166,11 @@ class Planner:
         ] + [
             ColumnSlot(None, f"$a{index}", None) for index in range(len(agg_specs))
         ]
-        agg_plan = AggregatePlan(plan, group_compiled, agg_specs, post_schema)
-        if self.config.execution_mode == "batch" and select.group_by:
-            agg_plan.batch_group = [
-                self._batch(compiler, expr) for expr in select.group_by
-            ]
+        group_fns = [
+            self._chunk(compiler, expr, compiled)
+            for expr, compiled in zip(select.group_by, group_compiled)
+        ]
+        agg_plan = AggregatePlan(plan, group_fns, agg_specs, post_schema)
         post_layout = RowLayout(post_schema)
 
         replacement: dict[str, ast.Expression] = {}
@@ -1288,11 +1203,10 @@ class Planner:
     def _plan_order_by(self, plan: Plan, select: ast.Select) -> Plan:
         """Sort on extended rows: output columns plus hidden key columns."""
         output_schema = plan.schema
-        output_layout = RowLayout(output_schema)
-        compiler = self._compiler(output_layout)
+        compiler = self._compiler(RowLayout(output_schema))
         width = len(output_schema)
-        extra_exprs: list[CompiledExpr] = []
-        extra_asts: list[ast.Expression] = []
+        extra_slots: list[ColumnSlot] = []
+        extra_fns: list[BatchFn] = []
         key_positions: list[tuple[int, bool]] = []
         for order_item in select.order_by:
             expr = order_item.expr
@@ -1305,26 +1219,14 @@ class Planner:
                 key_positions.append((index, order_item.ascending))
                 continue
             compiled = compiler.compile(expr)
-            key_positions.append((width + len(extra_exprs), order_item.ascending))
-            extra_exprs.append(compiled)
-            extra_asts.append(expr)
-        if extra_exprs:
-            identity = [
-                _slot_ref(index, slot) for index, slot in enumerate(output_schema)
-            ]
-            extended_schema = output_schema + [
-                ColumnSlot(None, f"$k{index}", expr.type)
-                for index, expr in enumerate(extra_exprs)
-            ]
-            plan = ProjectPlan(plan, identity + extra_exprs, extended_schema)
-            if self.config.execution_mode == "batch":
-                plan.batch_exprs = [
-                    _slot_batch(index) for index in range(width)
-                ] + [self._batch(compiler, expr) for expr in extra_asts]
-        plan = SortPlan(plan, key_positions)
-        if extra_exprs:
-            plan = CutPlan(plan, width, output_schema)
-        return plan
+            key_positions.append((width + len(extra_fns), order_item.ascending))
+            extra_slots.append(ColumnSlot(None, f"$k{len(extra_fns)}", compiled.type))
+            extra_fns.append(self._chunk(compiler, expr, compiled))
+        if not extra_fns:
+            return SortPlan(plan, key_positions)
+        identity = [_slot_batch(index) for index in range(width)]
+        plan = ProjectPlan(plan, identity + extra_fns, output_schema + extra_slots)
+        return CutPlan(SortPlan(plan, key_positions), width, output_schema)
 
 
 class _Reschema(Plan):
@@ -1352,14 +1254,8 @@ def _round_est(value: "float | None") -> "int | None":
     return max(1, round(value))
 
 
-def _slot_ref(index: int, slot: ColumnSlot) -> CompiledExpr:
-    return CompiledExpr(
-        lambda row, ctx, _i=index: row[_i], slot.type, ast.ColumnRef(None, slot.name)
-    )
-
-
 def _slot_batch(index: int) -> BatchFn:
-    """Batch identity extractor for one output slot position."""
+    """Chunk closure reading the value at one row position."""
     return lambda chunk, ctx, _i=index: [row[_i] for row in chunk]
 
 

@@ -118,3 +118,35 @@ def test_plan_operators_speak_only_the_chunk_protocol():
     assert not overriding, f"operators overriding rows(): {overriding}"
     missing = [name for name in operators if "batches" not in methods(classes[name])]
     assert not missing, f"operators without batches(): {missing}"
+
+
+def test_operators_hold_one_closure_per_expression():
+    """Operators evaluate each expression through one chunk closure: no
+    class in the executor or planner assigns a ``batch_*`` twin
+    attribute, and the executor never names ``execution_mode`` — the
+    planner alone decides how a closure is built.  ``batch_invoker``
+    (the batched table-function invoker of UDTF bind joins) is not an
+    expression closure."""
+    twins = []
+    for name in ("executor.py", "planner.py"):
+        tree = ast.parse((SRC / "fdbs" / name).read_text())
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                twins.extend(
+                    f"{name}: {cls.name} assigns .{target.attr}"
+                    for target in targets
+                    if isinstance(target, ast.Attribute)
+                    and target.attr.startswith("batch_")
+                    and target.attr != "batch_invoker"
+                )
+    assert not twins, twins
+    executor = (SRC / "fdbs" / "executor.py").read_text()
+    assert "execution_mode" not in executor

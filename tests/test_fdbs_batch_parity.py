@@ -79,6 +79,11 @@ ORDERED_QUERIES = [
     "SELECT k, SUM(v) FROM sparse GROUP BY k ORDER BY k",
     "SELECT s.k, e.id FROM sparse AS s JOIN emp AS e ON s.k = e.id "
     "ORDER BY e.id, s.v",
+    # NULL and duplicate keys on the build side of an outer self-join.
+    "SELECT a.k, a.v, b.v FROM sparse AS a LEFT OUTER JOIN sparse AS b "
+    "ON a.k = b.k ORDER BY a.k, a.v, b.v",
+    "SELECT a.k, a.v, b.v FROM sparse AS a JOIN sparse AS b "
+    "ON a.k = b.k AND a.v = b.v ORDER BY a.k, a.v",
 ]
 
 UNORDERED_QUERIES = [

@@ -11,6 +11,8 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.fdbs.engine import Database
+from repro.fdbs.executor import BATCH_SIZE, MergeJoinPlan, Plan
+from repro.fdbs.expr import ColumnSlot, EvalContext
 from repro.fdbs.federation import DatabaseEndpoint
 from repro.fdbs.stats import StatsFeedback, q_error
 from repro.sysmodel.machine import Machine
@@ -143,6 +145,71 @@ class TestMergeJoin:
         )
         assert "input=presorted" in db.explain(sql)
         assert db.execute(sql).rows == build("sorted-base").execute(sql).rows
+
+
+class _Rows(Plan):
+    """A fixed row source for driving one operator directly."""
+
+    def __init__(self, rows, width):
+        self._rows = rows
+        self.schema = [ColumnSlot(None, f"c{index}", None) for index in range(width)]
+
+    def batches(self, ctx, size=BATCH_SIZE):
+        for start in range(0, len(self._rows), size):
+            yield self._rows[start : start + size]
+
+
+def _first_column(chunk, ctx):
+    return [row[0] for row in chunk]
+
+
+def _reference_join(left_rows, right_rows):
+    """Nested-loop equi-join on column 0: left-major, right-scan order."""
+    def part(value):
+        return value.rstrip() if isinstance(value, str) else value
+
+    return [
+        left + right
+        for left in left_rows
+        for right in right_rows
+        if left[0] is not None
+        and right[0] is not None
+        and part(left[0]) == part(right[0])
+    ]
+
+
+class TestMergeJoinOperator:
+    """The merge operator against a nested-loop reference on inputs the
+    SQL sweep rarely produces: unsorted inner keys with duplicates and
+    NULLs, left keys that regress (bisection), and unorderable keys."""
+
+    @pytest.mark.parametrize(
+        "left_keys, right_keys, sorts, presorted",
+        [
+            # Unsorted inner with duplicate and NULL keys; the left keys
+            # regress twice, so the probe bisects instead of merging.
+            ([1, 3, 2, 1, None, 4, 3], [3, 1, None, 3, 2, 1], 1, 0),
+            # Presorted inner with a duplicate run, CHAR-padded keys.
+            (["b", "a ", "c", "a"], ["a", "a ", "b  ", "d"], 0, 1),
+            # Inner keys defeat ordering: hashed grouping, scan order.
+            ([1, "x", 2, 1], [1, "x", 1, 2], 0, 0),
+            # A left key unorderable against the sorted inner keys still
+            # matches by equality through the lazy dict view.
+            ([1, "x", 2, 2], [1, 2, 2, 3], 0, 1),
+        ],
+    )
+    def test_matches_the_nested_loop_reference(
+        self, left_keys, right_keys, sorts, presorted
+    ):
+        left_rows = [(key, f"l{index}") for index, key in enumerate(left_keys)]
+        right_rows = [(key, f"r{index}") for index, key in enumerate(right_keys)]
+        plan = MergeJoinPlan(
+            _Rows(left_rows, 2), _Rows(right_rows, 2), _first_column, 0
+        )
+        assert plan.rows(EvalContext(), size=2) == _reference_join(
+            left_rows, right_rows
+        )
+        assert (plan.sorts_applied, plan.presorted_inputs) == (sorts, presorted)
 
 
 class TestFeedback:
